@@ -2,10 +2,11 @@
 
 Low-level agents pair a transformer actor (variable responder count) with a
 fixed-size critic over per-depot features; high-level agents are MLP pairs
-over per-region features. Both train with DDPG: FIFO replay, target networks
-with Polyak updates, and gradient ascent of the critic through the continuous
-action. Rewards are negated response times scaled to O(1); the city agent's
-reward is estimated from the region critics instead of raw response times.
+over per-region features. Both levels share one DDPG update (`DdpgAgent`):
+FIFO replay, target networks with Polyak updates, and gradient ascent of the
+critic through the continuous action. Rewards are negated response times
+scaled to O(1); the city agent's reward is estimated from the region critics
+instead of raw response times.
 """
 
 from __future__ import annotations
@@ -66,6 +67,76 @@ class ReplayBuffer:
         return iter(self._items)
 
 
+class DdpgAgent:
+    """Actor, critic, their target copies, Adam states and replay, with the
+    DDPG update both agent levels share.
+
+    A subclass supplies the critic input for an (observation, action) pair,
+    the target actor's action for a next observation (None when it has
+    nothing to bootstrap from), and the actor gradient for one observation
+    (None to skip it), plus the discount `gamma`."""
+
+    def __init__(self, actor, critic, cfg: DdpgConfig):
+        self.cfg = cfg
+        self.actor = actor
+        self.actor_target = nn.clone(actor)
+        self.critic = critic
+        self.critic_target = nn.clone(critic)
+        self.actor_opt = nn.adam_init(actor)
+        self.critic_opt = nn.adam_init(critic)
+        self.buffer = ReplayBuffer(cfg.buffer_capacity)
+        self.explore_eps = cfg.eps_start
+
+    def observe(self, transition) -> None:
+        self.buffer.push(transition)
+
+    def q_value(self, obs, action, use_target: bool = False) -> float:
+        net = self.critic_target if use_target else self.critic
+        q, _ = nn.mlp_forward(net, self.critic_input(obs, action)[None, :])
+        return float(q[0, 0])
+
+    def train_step(self, rng: np.random.Generator) -> dict | None:
+        """One minibatch update of critic then actor, then both targets.
+        None until the buffer holds a batch, and for an actor without outputs
+        (a one-region city agent has nothing to distribute)."""
+        cfg = self.cfg
+        if len(self.buffer) < cfg.batch_size or self.actor.arrays()[-1].size == 0:
+            return None
+        batch = self.buffer.sample(cfg.batch_size, rng)
+
+        critic_grads = nn.zeros_like_params(self.critic)
+        critic_loss = 0.0
+        for tr in batch:
+            y = tr.reward
+            next_action = None if tr.terminal else self.target_action(tr.next_obs)
+            if next_action is not None:
+                y += self.gamma * self.q_value(tr.next_obs, next_action, use_target=True)
+            x = self.critic_input(tr.obs, tr.action)[None, :]
+            q, cache = nn.mlp_forward(self.critic, x, train=True, rng=rng)
+            err = float(q[0, 0]) - y
+            critic_loss += err * err
+            _, g = nn.mlp_backward(self.critic, cache, np.array([[2.0 * err]]))
+            nn.accumulate_grads(critic_grads, g)
+        nn.scale_grads(critic_grads, 1.0 / cfg.batch_size)
+        nn.adam_step(self.critic_opt, self.critic, critic_grads, cfg.lr)
+
+        actor_grads = nn.zeros_like_params(self.actor)
+        mean_q = 0.0
+        for tr in batch:
+            out = self.actor_gradients(tr.obs, train=True, rng=rng)
+            if out is not None:
+                q, grads = out
+                mean_q += q
+                nn.accumulate_grads(actor_grads, grads)
+        nn.scale_grads(actor_grads, 1.0 / cfg.batch_size)
+        nn.adam_step(self.actor_opt, self.actor, actor_grads, cfg.lr)
+
+        nn.soft_update(self.actor_target, self.actor, cfg.tau)
+        nn.soft_update(self.critic_target, self.critic, cfg.tau)
+        return {"critic_loss": critic_loss / cfg.batch_size,
+                "actor_q": mean_q / cfg.batch_size}
+
+
 @dataclass
 class LlpTransition:
     obs: RegionObservation
@@ -75,7 +146,7 @@ class LlpTransition:
     terminal: bool
 
 
-class LlpAgent:
+class LlpAgent(DdpgAgent):
     """Region repositioning agent: transformer actor + per-depot critic."""
 
     def __init__(self, region: int, n_depots: int, cfg: DdpgConfig,
@@ -84,20 +155,17 @@ class LlpAgent:
                  critic_hidden: tuple[int, ...] = (64,), critic_dropout: float = 0.1):
         self.region = region
         self.n_depots = n_depots
-        self.cfg = cfg
         feat_dim = 2 * n_depots
-        self.actor = nn.trxl_init(feat_dim, n_depots, rng, width=feat_dim,
-                                  n_heads=n_heads, n_layers=n_layers,
-                                  inner_sizes=inner_sizes, inner_dropout=actor_dropout)
-        self.actor_target = nn.clone(self.actor)
-        critic_sizes = [3 * n_depots, *critic_hidden, 1]
+        actor = nn.trxl_init(feat_dim, n_depots, rng, width=feat_dim,
+                             n_heads=n_heads, n_layers=n_layers,
+                             inner_sizes=inner_sizes, inner_dropout=actor_dropout)
         dropouts = [critic_dropout] * len(critic_hidden) + [0.0]
-        self.critic = nn.mlp_init(critic_sizes, rng, dropouts=dropouts)
-        self.critic_target = nn.clone(self.critic)
-        self.actor_opt = nn.adam_init(self.actor)
-        self.critic_opt = nn.adam_init(self.critic)
-        self.buffer = ReplayBuffer(cfg.buffer_capacity)
-        self.explore_eps = cfg.eps_start
+        critic = nn.mlp_init([3 * n_depots, *critic_hidden, 1], rng, dropouts=dropouts)
+        super().__init__(actor, critic, cfg)
+
+    @property
+    def gamma(self) -> float:
+        return self.cfg.gamma
 
     def act(self, obs: RegionObservation, explore: bool,
             rng: np.random.Generator | None = None) -> tuple[np.ndarray, dict[int, int]]:
@@ -119,69 +187,29 @@ class LlpAgent:
         assignment = {obs.responder_ids[v]: obs.depot_ids[d] for v, d in matched.items()}
         return probs, assignment
 
-    def observe(self, transition: LlpTransition) -> None:
-        self.buffer.push(transition)
+    def critic_input(self, obs: RegionObservation, action: np.ndarray) -> np.ndarray:
+        return critic_features(obs.phi, obs.lam, action)
 
-    def q_value(self, obs: RegionObservation, action: np.ndarray,
-                use_target: bool = False) -> float:
-        feats = critic_features(obs.phi, obs.lam, action)
-        net = self.critic_target if use_target else self.critic
-        q, _ = nn.mlp_forward(net, feats[None, :])
-        return float(q[0, 0])
+    def target_action(self, obs: RegionObservation) -> np.ndarray | None:
+        if obs.n_responders == 0:
+            return None
+        probs, _ = nn.trxl_forward(self.actor_target, obs.actor_features())
+        return probs
 
     def actor_gradients(self, obs: RegionObservation, train: bool = False,
                         rng: np.random.Generator | None = None):
-        """Gradients of -Q(s, actor(s)) wrt actor parameters; the critic's
-        value flows back through the occupancy and arrival features."""
+        """Q(s, actor(s)) and the gradients of -Q wrt actor parameters, or
+        None for a region without responders; the critic's value flows back
+        through the occupancy and arrival features."""
+        if obs.n_responders == 0:
+            return None
         probs, a_cache = nn.trxl_forward(self.actor, obs.actor_features(),
                                          train=train, rng=rng)
-        feats = critic_features(obs.phi, obs.lam, probs)
-        q, c_cache = nn.mlp_forward(self.critic, feats[None, :])
+        q, c_cache = nn.mlp_forward(self.critic, self.critic_input(obs, probs)[None, :])
         dfeat, _ = nn.mlp_backward(self.critic, c_cache, np.array([[-1.0]]))
         dprobs = critic_features_grad(obs.phi, probs, dfeat[0])
         _, grads = nn.trxl_backward(self.actor, a_cache, dprobs)
         return float(q[0, 0]), grads
-
-    def train_step(self, rng: np.random.Generator) -> dict | None:
-        cfg = self.cfg
-        if len(self.buffer) < cfg.batch_size:
-            return None
-        batch = self.buffer.sample(cfg.batch_size, rng)
-
-        critic_grads = nn.zeros_like_params(self.critic)
-        critic_loss = 0.0
-        for tr in batch:
-            if tr.terminal or tr.next_obs.n_responders == 0:
-                y = tr.reward
-            else:
-                next_action, _ = nn.trxl_forward(self.actor_target,
-                                                 tr.next_obs.actor_features())
-                y = tr.reward + cfg.gamma * self.q_value(tr.next_obs, next_action,
-                                                         use_target=True)
-            feats = critic_features(tr.obs.phi, tr.obs.lam, tr.action)
-            q, cache = nn.mlp_forward(self.critic, feats[None, :], train=True, rng=rng)
-            err = float(q[0, 0]) - y
-            critic_loss += err * err
-            _, g = nn.mlp_backward(self.critic, cache, np.array([[2.0 * err]]))
-            nn.accumulate_grads(critic_grads, g)
-        nn.scale_grads(critic_grads, 1.0 / cfg.batch_size)
-        nn.adam_step(self.critic_opt, self.critic, critic_grads, cfg.lr)
-
-        actor_grads = nn.zeros_like_params(self.actor)
-        mean_q = 0.0
-        for tr in batch:
-            if tr.obs.n_responders == 0:
-                continue
-            q, ag = self.actor_gradients(tr.obs, train=True, rng=rng)
-            mean_q += q
-            nn.accumulate_grads(actor_grads, ag)
-        nn.scale_grads(actor_grads, 1.0 / cfg.batch_size)
-        nn.adam_step(self.actor_opt, self.actor, actor_grads, cfg.lr)
-
-        nn.soft_update(self.actor_target, self.actor, cfg.tau)
-        nn.soft_update(self.critic_target, self.critic, cfg.tau)
-        return {"critic_loss": critic_loss / cfg.batch_size,
-                "actor_q": mean_q / cfg.batch_size}
 
 
 @dataclass
@@ -193,29 +221,26 @@ class HlpTransition:
     terminal: bool
 
 
-class HlpAgent:
+class HlpAgent(DdpgAgent):
     """City agent distributing the fleet across regions."""
 
     def __init__(self, n_regions: int, cfg: DdpgConfig, rng: np.random.Generator,
                  actor_hidden: tuple[int, ...] = (256, 64), actor_dropout: float = 0.1,
                  critic_hidden: tuple[int, ...] = (64,), critic_dropout: float = 0.1):
         self.n_regions = n_regions
-        self.cfg = cfg
         in_dim = 2 * n_regions
         out_dim = max(n_regions - 1, 0)
         acts = ["relu"] * len(actor_hidden) + ["softplus"]
         drops = [actor_dropout] * len(actor_hidden) + [0.0]
-        self.actor = nn.mlp_init([in_dim, *actor_hidden, out_dim], rng,
-                                 activations=acts, dropouts=drops)
-        self.actor_target = nn.clone(self.actor)
+        actor = nn.mlp_init([in_dim, *actor_hidden, out_dim], rng,
+                            activations=acts, dropouts=drops)
         cdrops = [critic_dropout] * len(critic_hidden) + [0.0]
-        self.critic = nn.mlp_init([in_dim + out_dim, *critic_hidden, 1], rng,
-                                  dropouts=cdrops)
-        self.critic_target = nn.clone(self.critic)
-        self.actor_opt = nn.adam_init(self.actor)
-        self.critic_opt = nn.adam_init(self.critic)
-        self.buffer = ReplayBuffer(cfg.buffer_capacity)
-        self.explore_eps = cfg.eps_start
+        critic = nn.mlp_init([in_dim + out_dim, *critic_hidden, 1], rng, dropouts=cdrops)
+        super().__init__(actor, critic, cfg)
+
+    @property
+    def gamma(self) -> float:
+        return self.cfg.effective_gamma_high
 
     def act(self, obs: np.ndarray, fleet_size: int, caps: list[int], explore: bool,
             rng: np.random.Generator | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -236,56 +261,21 @@ class HlpAgent:
         counts = greedy_redistribute(p, fleet_size, caps)
         return a_h, counts
 
-    def observe(self, transition: HlpTransition) -> None:
-        self.buffer.push(transition)
+    def critic_input(self, obs: np.ndarray, action: np.ndarray) -> np.ndarray:
+        return np.concatenate([obs, action])
 
-    def _q(self, net, obs: np.ndarray, action: np.ndarray) -> float:
-        q, _ = nn.mlp_forward(net, np.concatenate([obs, action])[None, :])
-        return float(q[0, 0])
+    def target_action(self, obs: np.ndarray) -> np.ndarray:
+        a, _ = nn.mlp_forward(self.actor_target, obs[None, :])
+        return a[0]
 
-    def train_step(self, rng: np.random.Generator) -> dict | None:
-        cfg = self.cfg
-        if self.n_regions == 1 or len(self.buffer) < cfg.batch_size:
-            return None
-        batch = self.buffer.sample(cfg.batch_size, rng)
-        gamma = cfg.effective_gamma_high
-
-        critic_grads = nn.zeros_like_params(self.critic)
-        critic_loss = 0.0
-        for tr in batch:
-            if tr.terminal:
-                y = tr.reward
-            else:
-                a2, _ = nn.mlp_forward(self.actor_target, tr.next_obs[None, :])
-                y = tr.reward + gamma * self._q(self.critic_target, tr.next_obs, a2[0])
-            x = np.concatenate([tr.obs, tr.action])[None, :]
-            q, cache = nn.mlp_forward(self.critic, x, train=True, rng=rng)
-            err = float(q[0, 0]) - y
-            critic_loss += err * err
-            _, g = nn.mlp_backward(self.critic, cache, np.array([[2.0 * err]]))
-            nn.accumulate_grads(critic_grads, g)
-        nn.scale_grads(critic_grads, 1.0 / cfg.batch_size)
-        nn.adam_step(self.critic_opt, self.critic, critic_grads, cfg.lr)
-
-        actor_grads = nn.zeros_like_params(self.actor)
-        mean_q = 0.0
-        obs_dim = 2 * self.n_regions
-        for tr in batch:
-            a, a_cache = nn.mlp_forward(self.actor, tr.obs[None, :], train=True, rng=rng)
-            x = np.concatenate([tr.obs, a[0]])[None, :]
-            q, c_cache = nn.mlp_forward(self.critic, x)
-            mean_q += float(q[0, 0])
-            dx, _ = nn.mlp_backward(self.critic, c_cache, np.array([[-1.0]]))
-            da = dx[:, obs_dim:]
-            _, ag = nn.mlp_backward(self.actor, a_cache, da)
-            nn.accumulate_grads(actor_grads, ag)
-        nn.scale_grads(actor_grads, 1.0 / cfg.batch_size)
-        nn.adam_step(self.actor_opt, self.actor, actor_grads, cfg.lr)
-
-        nn.soft_update(self.actor_target, self.actor, cfg.tau)
-        nn.soft_update(self.critic_target, self.critic, cfg.tau)
-        return {"critic_loss": critic_loss / cfg.batch_size,
-                "actor_q": mean_q / cfg.batch_size}
+    def actor_gradients(self, obs: np.ndarray, train: bool = False,
+                        rng: np.random.Generator | None = None):
+        """Q(s, actor(s)) and the gradients of -Q wrt actor parameters."""
+        a, a_cache = nn.mlp_forward(self.actor, obs[None, :], train=train, rng=rng)
+        q, c_cache = nn.mlp_forward(self.critic, self.critic_input(obs, a[0])[None, :])
+        dx, _ = nn.mlp_backward(self.critic, c_cache, np.array([[-1.0]]))
+        _, grads = nn.mlp_backward(self.actor, a_cache, dx[:, obs.size:])
+        return float(q[0, 0]), grads
 
 
 def hlp_reward(llp_agents: dict[int, LlpAgent],

@@ -113,7 +113,6 @@ def cmd_train(args) -> int:
         "episodes_llp": cfg.episodes_llp,
         "episodes_hlp": cfg.episodes_hlp,
         "final_explore_eps": ddpg.explore_eps(cfg.episodes_llp),
-        "rng_state": np.random.default_rng(args.seed).bit_generator.state,
     }
     save_agents(out_dir, llp_agents, hlp_agent, manifest)
     print(f"checkpoints and learning curves in {out_dir}")

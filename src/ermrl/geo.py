@@ -149,9 +149,6 @@ class RateModel:
     def rates_at(self, t: float) -> np.ndarray:
         return self.rates[self.bucket_index(t)]
 
-    def cell_rate(self, cell_id: int, t: float) -> float:
-        return float(self.rates_at(t)[cell_id])
-
     def mean_rates(self) -> np.ndarray:
         return self.rates.mean(axis=0)
 
@@ -180,12 +177,6 @@ class Segmentation:
     @property
     def n_regions(self) -> int:
         return len(self.region_cells)
-
-    def cell_region(self, cell_id: int) -> int:
-        for g, cells in self.region_cells.items():
-            if cell_id in cells:
-                return g
-        raise ScenarioError(f"cell {cell_id} not covered by segmentation")
 
     def region_depots(self, region_id: int) -> list[int]:
         return sorted(d for d, g in self.depot_regions.items() if g == region_id)

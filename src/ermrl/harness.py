@@ -5,7 +5,7 @@ own incidents with a binomially resampled fleet, acting at every incident or
 hourly lull and learning from the negated response time of the next incident;
 the city agent trains afterwards against the frozen region critics, acting at
 region-level rate changes. Evaluation replays held-out chains and records
-wall-clock latency per decision.
+wall-clock latency per planner call.
 """
 
 from __future__ import annotations
@@ -155,9 +155,15 @@ class TrainConfig:
     min_hlp_interval_s: float = 3600.0
 
     def default_fleet(self, world: ScenarioWorld) -> int:
-        if self.fleet_size is not None:
-            return self.fleet_size
-        return max(1, int(round(0.7 * len(world.depots))))
+        return resolve_fleet(world, self.fleet_size)
+
+
+def resolve_fleet(world: ScenarioWorld, fleet_size: int | None) -> int:
+    """fleet_size, or by default 0.7 responders per depot: a responder on
+    every depot would leave repositioning no legal move."""
+    if fleet_size is not None:
+        return fleet_size
+    return max(1, int(round(0.7 * len(world.depots))))
 
 
 class LlpTrainingController:
@@ -251,6 +257,7 @@ class HlpTrainer:
         self.rng = rng
         self.train = train
         self.pending = None  # (obs, a_h, reward)
+        self._open = None    # (obs, a_h) of the cycle in progress
 
     def plan_counts(self, sim: Simulator, rng) -> dict[int, int]:
         world = self.world
@@ -274,7 +281,7 @@ class HlpTrainer:
 
     def record_cycle(self, sim: Simulator, event):
         """Called after the redistribution and follow-up region planning."""
-        if not hasattr(self, "_open") or self._open is None:
+        if self._open is None:
             return
         obs, a_h = self._open
         self._open = None
@@ -397,7 +404,7 @@ class ExperimentSpec:
     out_dir: str
     train_seeds: tuple[int, ...] = tuple(range(50))
     eval_seeds: tuple[int, ...] = tuple(range(50, 60))
-    fleet_size: int | None = None
+    fleet_size: int | None = None   # default: resolve_fleet
     trigger_mode: str | None = None  # default: per planner
     horizon_s: float = 11 * 86400.0
     sigma_rate: float = 0.0
@@ -456,9 +463,9 @@ def _eval_one_chain(packed) -> ChainRecord:
     idle = TriggerPolicy().idle_timeout_s if (controller is not None
                                               and controller.trigger.mode == "baseline") else None
     cfg = SimConfig(idle_timeout_s=idle)
-    fleet = spec.fleet_size
+    fleet = resolve_fleet(world, spec.fleet_size)
     result = run_episode(world, chain, controller, cfg, n_responders=fleet)
-    lats = [dt for _, dt in result.decision_latency]
+    lats = [dt for _, dt in controller.decision_latency] if controller else []
     return ChainRecord(
         chain_seed=chain_seed,
         n_incidents=result.n_incidents,

@@ -9,6 +9,7 @@ incident and after idle timeouts.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +63,10 @@ class HierarchyController:
 
     region_planner: object with plan_region(sim, region, rng) -> {rid: depot}
     hlp_planner:    optional object with plan_counts(sim, rng) -> {region: count}
-    Hooks (when set) observe each decision, e.g. to collect training data.
+    decision_latency holds one (level, wall seconds) entry per planner call of
+    the current episode, level "region" or "city". hlp_cycle_hook and
+    episode_end_hook (when set) let city-agent training follow each
+    redistribution cycle and the episode's end.
     """
 
     def __init__(self, world: ScenarioWorld, trigger: TriggerPolicy,
@@ -72,8 +76,7 @@ class HierarchyController:
         self.region_planner = region_planner
         self.hlp_planner = hlp_planner
         self.rng = np.random.default_rng(seed)
-        self.llp_hook = None
-        self.hlp_hook = None
+        self.decision_latency: list[tuple[str, float]] = []
         self.hlp_cycle_hook = None   # fires after redistribution + follow-up LLPs
         self.episode_end_hook = None
         self._last_hlp_t = None
@@ -84,8 +87,9 @@ class HierarchyController:
     def begin_episode(self, sim: Simulator):
         self._last_hlp_t = None
         self._prev_rates = self._region_rates(0.0)
+        self.decision_latency = []
         for g in self.world.seg.region_ids:
-            self._invoke_llp(sim, g, Event("episode_start", 0.0))
+            self._invoke_llp(sim, g)
 
     def end_episode(self, sim: Simulator):
         if self.episode_end_hook is not None:
@@ -103,7 +107,7 @@ class HierarchyController:
         if event.kind in ("incident", "release"):
             dispatch = getattr(sim, "last_dispatch", None)
             if dispatch is not None and dispatch.t == sim.now:
-                self._invoke_llp(sim, dispatch.region, event)
+                self._invoke_llp(sim, dispatch.region)
         elif event.kind == "rate_change":
             cur = self._region_rates(sim.now)
             changed = cur != self._prev_rates
@@ -114,10 +118,10 @@ class HierarchyController:
                     and sim.now - self._last_hlp_t < self.trigger.min_hlp_interval_s):
                 return
             self._last_hlp_t = sim.now
-            moved = self._invoke_hlp(sim, event)
+            moved = self._invoke_hlp(sim)
             if moved:
                 for g in self.world.seg.region_ids:
-                    self._invoke_llp(sim, g, event)
+                    self._invoke_llp(sim, g)
             if self.hlp_cycle_hook is not None:
                 self.hlp_cycle_hook(sim, event)
             sim.reset_idle_timer()
@@ -125,9 +129,9 @@ class HierarchyController:
     def _on_event_baseline(self, sim: Simulator, event: Event):
         if event.kind in ("incident", "idle_tick"):
             if self.hlp_planner is not None:
-                self._invoke_hlp(sim, event)
+                self._invoke_hlp(sim)
             for g in self.world.seg.region_ids:
-                self._invoke_llp(sim, g, event)
+                self._invoke_llp(sim, g)
             if event.kind != "incident":
                 sim.reset_idle_timer()
 
@@ -137,23 +141,22 @@ class HierarchyController:
         return tuple(region_rate(self.world.seg, self.world.rates, g, t)
                      for g in self.world.seg.region_ids)
 
-    def _invoke_llp(self, sim: Simulator, region: int, event: Event):
+    def _invoke_llp(self, sim: Simulator, region: int):
         if not sim.region_responders(region):
             return
+        t0 = time.perf_counter()
         assignment = self.region_planner.plan_region(sim, region, self.rng)
+        self.decision_latency.append(("region", time.perf_counter() - t0))
         if assignment:
             sim.apply_depot_moves(assignment)
-        if self.llp_hook is not None:
-            self.llp_hook(sim, region, event)
 
-    def _invoke_hlp(self, sim: Simulator, event: Event) -> bool:
+    def _invoke_hlp(self, sim: Simulator) -> bool:
+        t0 = time.perf_counter()
         counts_new = self.hlp_planner.plan_counts(sim, self.rng)
+        self.decision_latency.append(("city", time.perf_counter() - t0))
         if counts_new is None:
             return False
-        affected = apply_hlp_counts(sim, counts_new)
-        if self.hlp_hook is not None:
-            self.hlp_hook(sim, event)
-        return bool(affected)
+        return bool(apply_hlp_counts(sim, counts_new))
 
 
 class DdpgPlanner:
@@ -165,14 +168,12 @@ class DdpgPlanner:
         self.hlp_agent = hlp_agent
         self.noise = noise
         self.explore = explore
-        self.last_llp_action: dict[int, tuple] = {}
 
     def plan_region(self, sim: Simulator, region: int, rng) -> dict[int, int]:
         agent = self.llp_agents[region]
         obs = region_observation(sim.responders, region, sim.now, sim.world,
                                  self.noise, rng)
-        likelihoods, assignment = agent.act(obs, self.explore, rng)
-        self.last_llp_action[region] = (obs, likelihoods)
+        _, assignment = agent.act(obs, self.explore, rng)
         return assignment
 
     def plan_counts(self, sim: Simulator, rng) -> dict[int, int] | None:

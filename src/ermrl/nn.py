@@ -116,20 +116,15 @@ def mlp_forward(p: MlpParams, x: Array, train: bool = False,
 
 
 def mlp_backward(p: MlpParams, cache: list, dy: Array) -> tuple[Array, MlpParams]:
-    dy = np.atleast_2d(np.asarray(dy, dtype=float))
-    grads = MlpParams([DenseLayer(np.zeros_like(l.w), np.zeros_like(l.b),
-                                  l.activation, l.dropout) for l in p.layers])
-    dh = dy
-    for i in reversed(range(len(p.layers))):
-        layer = p.layers[i]
-        h_in, pre, mask = cache[i]
+    dh = np.atleast_2d(np.asarray(dy, dtype=float))
+    grads = []
+    for layer, (h_in, pre, mask) in zip(reversed(p.layers), reversed(cache)):
         if mask is not None:
             dh = dh * mask
         dz = dh * _activate_grad(layer.activation, pre)
-        grads.layers[i].w[...] = h_in.T @ dz
-        grads.layers[i].b[...] = dz.sum(axis=0)
+        grads.append(DenseLayer(h_in.T @ dz, dz.sum(axis=0), layer.activation, layer.dropout))
         dh = dz @ layer.w.T
-    return dh, grads
+    return dh, MlpParams(grads[::-1])
 
 
 # --- layer norm ---------------------------------------------------------------
@@ -160,14 +155,11 @@ def norm_forward(p: NormParams, x: Array) -> tuple[Array, tuple]:
 
 def norm_backward(p: NormParams, cache: tuple, dy: Array) -> tuple[Array, NormParams]:
     xhat, inv = cache
-    grads = NormParams(np.zeros_like(p.gain), np.zeros_like(p.bias))
-    grads.gain[...] = (dy * xhat).sum(axis=0)
-    grads.bias[...] = dy.sum(axis=0)
     dxhat = dy * p.gain
     mean_d = dxhat.mean(axis=-1, keepdims=True)
     mean_dx = (dxhat * xhat).mean(axis=-1, keepdims=True)
     dx = inv * (dxhat - mean_d - xhat * mean_dx)
-    return dx, grads
+    return dx, NormParams((dy * xhat).sum(axis=0), dy.sum(axis=0))
 
 
 # --- multi-head attention -----------------------------------------------------
@@ -231,23 +223,16 @@ def mha_forward(p: MhaParams, x: Array) -> tuple[Array, tuple]:
 def mha_backward(p: MhaParams, cache: tuple, dy: Array) -> tuple[Array, MhaParams]:
     x, q, k, v, attn, merged, scale = cache
     h = p.n_heads
-    grads = MhaParams(*(np.zeros_like(a) for a in p.arrays()), n_heads=h)
-    grads.wo[...] = merged.T @ dy
-    grads.bo[...] = dy.sum(axis=0)
-    dmerged = dy @ p.wo.T
-    dheads = _split_heads(dmerged, h)
+    dheads = _split_heads(dy @ p.wo.T, h)
     dattn = dheads @ v.transpose(0, 2, 1)
     dv = attn.transpose(0, 2, 1) @ dheads
     dscores = softmax_rows_backward(attn, dattn)
     dq = (dscores @ k) * scale
     dk = (dscores.transpose(0, 2, 1) @ q) * scale
-    dx = np.zeros_like(x)
-    for name, dmat in (("q", dq), ("k", dk), ("v", dv)):
-        flat = _merge_heads(dmat)
-        w = getattr(p, "w" + name)
-        getattr(grads, "w" + name)[...] = x.T @ flat
-        getattr(grads, "b" + name)[...] = flat.sum(axis=0)
-        dx += flat @ w.T
+    flats = [_merge_heads(d) for d in (dq, dk, dv)]
+    dx = sum(f @ w.T for f, w in zip(flats, (p.wq, p.wk, p.wv)))
+    grads = MhaParams(*(g for f in flats for g in (x.T @ f, f.sum(axis=0))),
+                      merged.T @ dy, dy.sum(axis=0), n_heads=h)
     return dx, grads
 
 
@@ -330,44 +315,20 @@ def trxl_forward(p: TrxlParams, x: Array, train: bool = False,
 
 
 def trxl_backward(p: TrxlParams, cache: dict, dprobs: Array) -> tuple[Array, TrxlParams]:
-    grads = TrxlParams(
-        DenseLayer(np.zeros_like(p.in_proj.w), np.zeros_like(p.in_proj.b)),
-        [TrxlLayer(MhaParams(*(np.zeros_like(a) for a in l.mha.arrays()), n_heads=l.mha.n_heads),
-                   NormParams(np.zeros_like(l.norm_mha.gain), np.zeros_like(l.norm_mha.bias)),
-                   MlpParams([DenseLayer(np.zeros_like(d.w), np.zeros_like(d.b),
-                                         d.activation, d.dropout) for d in l.mlp.layers]),
-                   NormParams(np.zeros_like(l.norm_mlp.gain), np.zeros_like(l.norm_mlp.bias)))
-         for l in p.layers],
-        DenseLayer(np.zeros_like(p.out_proj.w), np.zeros_like(p.out_proj.b)),
-    )
     dlogits = softmax_rows_backward(cache["probs"], np.asarray(dprobs, dtype=float))
-    grads.out_proj.w[...] = cache["pre_out"].T @ dlogits
-    grads.out_proj.b[...] = dlogits.sum(axis=0)
+    out_proj = DenseLayer(cache["pre_out"].T @ dlogits, dlogits.sum(axis=0))
     dh = dlogits @ p.out_proj.w.T
-    for i in reversed(range(len(p.layers))):
-        layer = p.layers[i]
-        mha_cache, n1_cache, mlp_cache, n2_cache = cache["layers"][i]
-        dsum2, gn2 = norm_backward(layer.norm_mlp, n2_cache, dh)
-        grads.layers[i].norm_mlp.gain[...] = gn2.gain
-        grads.layers[i].norm_mlp.bias[...] = gn2.bias
-        du = dsum2.copy()
-        dmlp_in, gmlp = mlp_backward(layer.mlp, mlp_cache, dsum2)
-        for j, gl in enumerate(gmlp.layers):
-            grads.layers[i].mlp.layers[j].w[...] = gl.w
-            grads.layers[i].mlp.layers[j].b[...] = gl.b
-        du += dmlp_in
-        dsum1, gn1 = norm_backward(layer.norm_mha, n1_cache, du)
-        grads.layers[i].norm_mha.gain[...] = gn1.gain
-        grads.layers[i].norm_mha.bias[...] = gn1.bias
-        dh = dsum1.copy()
-        dmha_in, gmha = mha_backward(layer.mha, mha_cache, dsum1)
-        for a_dst, a_src in zip(grads.layers[i].mha.arrays(), gmha.arrays()):
-            a_dst[...] = a_src
-        dh += dmha_in
-    grads.in_proj.w[...] = cache["x"].T @ dh
-    grads.in_proj.b[...] = dh.sum(axis=0)
-    dx = dh @ p.in_proj.w.T
-    return dx, grads
+    layers = []
+    for layer, (mha_cache, n1_cache, mlp_cache, n2_cache) in zip(reversed(p.layers),
+                                                                reversed(cache["layers"])):
+        dsum2, g_norm_mlp = norm_backward(layer.norm_mlp, n2_cache, dh)
+        dmlp_in, g_mlp = mlp_backward(layer.mlp, mlp_cache, dsum2)
+        dsum1, g_norm_mha = norm_backward(layer.norm_mha, n1_cache, dsum2 + dmlp_in)
+        dmha_in, g_mha = mha_backward(layer.mha, mha_cache, dsum1)
+        dh = dsum1 + dmha_in
+        layers.append(TrxlLayer(g_mha, g_norm_mha, g_mlp, g_norm_mlp))
+    in_proj = DenseLayer(cache["x"].T @ dh, dh.sum(axis=0))
+    return dh @ p.in_proj.w.T, TrxlParams(in_proj, layers[::-1], out_proj)
 
 
 # --- optimizer ------------------------------------------------------------------

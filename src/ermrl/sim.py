@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import csv
 import heapq
-import time as _time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -182,7 +181,6 @@ class DispatchRecord:
 class EpisodeResult:
     response_log: list[tuple[int, float, float]]  # (incident id, report_t_s, response_s)
     horizon_s: float
-    decision_latency: list[tuple[str, float]] = field(default_factory=list)
 
     @property
     def n_incidents(self) -> int:
@@ -198,18 +196,6 @@ class EpisodeResult:
         if not self.response_log:
             return None
         return float(np.percentile([r for _, _, r in self.response_log], q))
-
-    def summary(self) -> dict:
-        lats = [dt for _, dt in self.decision_latency]
-        return {
-            "n_incidents": self.n_incidents,
-            "mean_response_s": self.mean_response_s,
-            "p50_response_s": self.percentile(50),
-            "p90_response_s": self.percentile(90),
-            "decision_count": len(lats),
-            "decision_latency_mean_s": float(np.mean(lats)) if lats else None,
-            "decision_latency_max_s": float(np.max(lats)) if lats else None,
-        }
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as f:
@@ -233,7 +219,6 @@ class Simulator:
         self.now = 0.0
         self.queue: deque[Incident] = deque()
         self.response_log: list[tuple[int, float, float]] = []
-        self.decision_latency: list[tuple[str, float]] = []
         self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._served = 0
@@ -285,7 +270,7 @@ class Simulator:
             raise SimLogicError("event calendar exhausted with incidents unserved")
         if self.controller is not None and hasattr(self.controller, "end_episode"):
             self.controller.end_episode(self)
-        return EpisodeResult(self.response_log, self.chain.horizon_s, self.decision_latency)
+        return EpisodeResult(self.response_log, self.chain.horizon_s)
 
     def _handle(self, ev: Event):
         if ev.kind == "incident":
@@ -316,11 +301,8 @@ class Simulator:
             raise SimLogicError(f"unknown event kind {ev.kind}")
 
     def _notify(self, ev: Event):
-        if self.controller is None:
-            return
-        t0 = _time.perf_counter()
-        self.controller.on_event(self, ev)
-        self.decision_latency.append((ev.kind, _time.perf_counter() - t0))
+        if self.controller is not None:
+            self.controller.on_event(self, ev)
 
     def reset_idle_timer(self):
         """Controllers call this when they invoke planners outside incident events."""

@@ -92,14 +92,15 @@ class TestLlpAct:
 
 
 class TestLlpTraining:
-    def _fixed_transition_agent(self, gamma, terminal, reward=-0.5):
+    def _fixed_transition_agent(self, gamma, terminal, reward=-0.5, next_obs=None):
         cfg = small_cfg(gamma=gamma)
         agent = agents.LlpAgent(0, 2, cfg, np.random.default_rng(5),
                                 inner_sizes=(8,), critic_hidden=(16,),
                                 critic_dropout=0.0)
         obs = make_obs([[0.0, 0.3], [0.2, 0.0]], [0.4, 0.8])
         action = np.array([[0.9, 0.1], [0.2, 0.8]])
-        tr = agents.LlpTransition(obs, action, reward, obs, terminal)
+        tr = agents.LlpTransition(obs, action, reward,
+                                  obs if next_obs is None else next_obs, terminal)
         for _ in range(cfg.batch_size):
             agent.observe(tr)
         return agent, obs, action, tr
@@ -113,6 +114,16 @@ class TestLlpTraining:
 
     def test_gamma_zero_target_is_reward(self):
         agent, obs, action, _ = self._fixed_transition_agent(gamma=0.0, terminal=False)
+        rng = np.random.default_rng(7)
+        for _ in range(400):
+            agent.train_step(rng)
+        assert agent.q_value(obs, action) == pytest.approx(-0.5, abs=0.05)
+
+    def test_empty_next_region_target_is_reward(self):
+        # nothing to bootstrap from when the next state has no responders
+        empty = make_obs(np.zeros((0, 2)), [0.4, 0.8])
+        agent, obs, action, _ = self._fixed_transition_agent(
+            gamma=0.5, terminal=False, next_obs=empty)
         rng = np.random.default_rng(7)
         for _ in range(400):
             agent.train_step(rng)
@@ -187,6 +198,30 @@ class TestHlpAgent:
                                   explore=True, rng=rng)
             assert counts.sum() == 3
             assert np.all(counts <= [2, 2])
+
+    @pytest.mark.parametrize("cfg_kw", [dict(gamma=0.9, gamma_high=0.0),
+                                        dict(gamma=0.9, hlp_bandit=True)])
+    def test_city_discount_sets_the_target(self, cfg_kw):
+        # the region discount (0.9) would bootstrap Q toward 10x the reward
+        cfg = small_cfg(**cfg_kw)
+        agent = agents.HlpAgent(2, cfg, np.random.default_rng(15),
+                                actor_hidden=(16,), actor_dropout=0.0,
+                                critic_hidden=(16,), critic_dropout=0.0)
+        obs = np.array([0.8, 0.5, 0.2, 0.5])
+        action = np.array([1.2])
+        for _ in range(cfg.batch_size):
+            agent.observe(agents.HlpTransition(obs, action, -0.4, obs, False))
+        rng = np.random.default_rng(16)
+        for _ in range(400):
+            agent.train_step(rng)
+        assert agent.q_value(obs, action) == pytest.approx(-0.4, abs=0.05)
+
+    def test_single_region_never_trains(self):
+        agent = agents.HlpAgent(1, small_cfg(), np.random.default_rng(10))
+        obs = np.array([1.0, 0.5])
+        for _ in range(4):
+            agent.observe(agents.HlpTransition(obs, np.zeros(0), -0.4, obs, False))
+        assert agent.train_step(np.random.default_rng(0)) is None
 
     def test_train_step_reduces_loss_on_fixed_transition(self):
         cfg = small_cfg(gamma_high=0.0)

@@ -8,6 +8,7 @@ from conftest import two_region_world
 
 from ermrl import harness, sim
 from ermrl.agents import DdpgConfig
+from ermrl.baselines import MctsConfig
 
 
 def exact_permutation_oracle(diffs):
@@ -165,6 +166,18 @@ class TestEvaluation:
         assert rows[0]["n_chains"] == 4
         assert rows[0]["mean_reference_s"] == pytest.approx(101.25)
         assert 0.0 < rows[0]["p_value"] <= 1.0
+
+    def test_default_eval_fleet_leaves_search_a_move(self, tmp_path):
+        # a responder on every depot would make search return the static result
+        world = harness.generate_scenario(harness.ScenarioParams(), 7)
+        means = {}
+        for planner in ("static", "mcts"):
+            spec = harness.ExperimentSpec(
+                scenario_path="unused", planner=planner, out_dir=str(tmp_path),
+                eval_seeds=(50,), horizon_s=12 * 3600.0,
+                mcts=MctsConfig(iteration_limit=24, n_samples=4))
+            means[planner] = harness.evaluate_spec(spec, world)[0].mean_response_s
+        assert means["mcts"] != means["static"]
 
     def test_random_planner_eval(self, tmp_path):
         world = two_region_world(rates_by_bucket=[[1.0, 0.5, 0.2, 0.1, 0.4, 0.8]])

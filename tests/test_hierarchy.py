@@ -167,6 +167,26 @@ class TestBaselineTriggers:
             assert ts[1] == pytest.approx(7210.0)
 
 
+class TestDecisionLatency:
+    def test_one_entry_per_planner_call(self):
+        world = two_region_world()
+        hlp = ScriptedHlp([{0: 1, 1: 1}])
+        llp = SpyRegionPlanner()
+        ctrl = hierarchy.HierarchyController(
+            world, hierarchy.TriggerPolicy(mode="baseline"), llp, hlp)
+        chain = chain_of([(100.0, 1), (9000.0, 4)], 4 * 3600)
+        for _ in range(2):  # begin_episode starts a fresh record
+            llp.calls.clear()
+            hlp.calls.clear()
+            run(world, chain, ctrl, idle_timeout=3600.0)
+            levels = [level for level, _ in ctrl.decision_latency]
+            assert levels.count("region") == len(llp.calls)
+            assert levels.count("city") == len(hlp.calls)
+            assert len(levels) == len(llp.calls) + len(hlp.calls)
+            assert all(dt >= 0.0 for _, dt in ctrl.decision_latency)
+        assert sorted(g for t, g in llp.calls if t == 0.0) == [0, 1]
+
+
 class TestDdpgPlannerIntegration:
     def test_full_stack_eval_runs_deterministically(self):
         from ermrl.agents import DdpgConfig, HlpAgent, LlpAgent
