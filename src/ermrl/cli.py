@@ -20,7 +20,7 @@ from .harness import (ExperimentSpec, ScenarioParams, TrainConfig, compare_runs,
                       train_hlp_agent, train_llp_agent, write_noise_matrix,
                       write_run_summary)
 from .hierarchy import DdpgPlanner, HierarchyController, TriggerPolicy
-from .sim import SimConfig, run_episode, sample_chain, write_chain_csv
+from .sim import SimConfig, run_episode, sample_chain
 
 PLANNERS = ("drl", "mcts", "pmedian", "greedy", "static", "random")
 
@@ -47,14 +47,6 @@ def cmd_generate(args) -> int:
     save_world(world, out)
     print(f"wrote scenario to {out} ({world.grid.n_cells} cells, "
           f"{len(world.depots)} depots, {world.seg.n_regions} regions)")
-    if args.chains:
-        chain_dir = Path(args.chain_dir or out.parent / "chains")
-        chain_dir.mkdir(parents=True, exist_ok=True)
-        horizon = args.horizon_days * 86400.0
-        for s in range(args.chains):
-            chain = sample_chain(world.rates, horizon, s)
-            write_chain_csv(chain, chain_dir / f"chain_{s:04d}.csv")
-        print(f"wrote {args.chains} chains to {chain_dir}")
     return 0
 
 
@@ -138,8 +130,9 @@ def _eval_llp(world, agent, region, chain_seed, cfg):
 def _eval_hierarchy(world, llp_agents, hlp_agent, chain_seed, cfg):
     chain = sample_chain(world.rates, cfg.horizon_s, chain_seed)
     planner = DdpgPlanner(llp_agents, hlp_agent)
-    controller = HierarchyController(world, TriggerPolicy(mode="ours"),
-                                     planner, planner, seed=0)
+    controller = HierarchyController(world, TriggerPolicy(mode="ours"), planner,
+                                     planner if hlp_agent is not None else None,
+                                     seed=0)
     res = run_episode(world, chain, controller, SimConfig(t_serve_s=cfg.t_serve_s),
                       n_responders=cfg.default_fleet(world))
     return res.mean_response_s
@@ -256,9 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--regions", type=int, default=2)
     g.add_argument("--rate", type=float, default=4.0,
                    help="citywide incidents per hour")
-    g.add_argument("--chains", type=int, default=0)
-    g.add_argument("--chain-dir")
-    g.add_argument("--horizon-days", type=float, default=11.0)
     g.set_defaults(func=cmd_generate)
 
     t = sub.add_parser("train", help="train region agents, then the city agent")

@@ -101,16 +101,6 @@ def region_observation(
     return RegionObservation(region, member_ids, depot_ids, phi, lam)
 
 
-def depot_occupancy(likelihoods: np.ndarray, col: int) -> float:
-    """Clipped chance that some responder lands on this depot."""
-    return float(np.clip(likelihoods[:, col].sum(), 0.0, 1.0))
-
-
-def likely_available_time(likelihoods: np.ndarray, phi: np.ndarray, col: int) -> float:
-    """Likelihood-weighted arrival time for one depot column (no clipping)."""
-    return float((phi[:, col] * likelihoods[:, col]).sum())
-
-
 def critic_features(phi: np.ndarray, lam: np.ndarray, likelihoods: np.ndarray) -> np.ndarray:
     """Fixed-size critic input: per depot (occupancy, weighted arrival, rate)."""
     col_sums = likelihoods.sum(axis=0)

@@ -426,7 +426,9 @@ def build_controller(spec: ExperimentSpec, world: ScenarioWorld,
         llp_agents, hlp_agent = load_agents(checkpoint_dir, world)
         planner = DdpgPlanner(llp_agents, hlp_agent, noise=noise)
         trigger = TriggerPolicy(mode=spec.trigger_mode or "ours")
-        return HierarchyController(world, trigger, planner, planner, seed=ctrl_seed)
+        return HierarchyController(world, trigger, planner,
+                                   planner if hlp_agent is not None else None,
+                                   seed=ctrl_seed)
     if spec.planner == "static":
         return None
     planner = BaselineRegionPlanner(spec.planner, mcts_cfg=spec.mcts, alpha=spec.alpha)

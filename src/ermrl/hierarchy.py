@@ -154,8 +154,6 @@ class HierarchyController:
         t0 = time.perf_counter()
         counts_new = self.hlp_planner.plan_counts(sim, self.rng)
         self.decision_latency.append(("city", time.perf_counter() - t0))
-        if counts_new is None:
-            return False
         return bool(apply_hlp_counts(sim, counts_new))
 
 
@@ -176,9 +174,7 @@ class DdpgPlanner:
         _, assignment = agent.act(obs, self.explore, rng)
         return assignment
 
-    def plan_counts(self, sim: Simulator, rng) -> dict[int, int] | None:
-        if self.hlp_agent is None:
-            return None
+    def plan_counts(self, sim: Simulator, rng) -> dict[int, int]:
         world = sim.world
         counts = sim.region_counts()
         rates = {g: region_rate(world.seg, world.rates, g, sim.now)

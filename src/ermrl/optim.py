@@ -2,32 +2,20 @@
 
 Maps actor outputs to feasible allocations: max-weight matching for
 within-region depot assignment, greedy remainder-and-cap redistribution for
-region counts, and a min-cost-flow assignment for moving responders between
-regions. All solvers break ties by lowest id and are pure functions.
+region counts, and one assignment solve for moving responders between
+regions. Both assignments use the same Hungarian solver. Matching and
+redistribution break ties by lowest id; all solvers are pure functions.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
 class InfeasibleError(ValueError):
     """The requested allocation cannot be satisfied."""
-
-
-def validate_likelihoods(L: np.ndarray, tol: float = 1e-6) -> np.ndarray:
-    L = np.asarray(L, dtype=float)
-    if L.ndim != 2:
-        raise ValueError("likelihood matrix must be 2-d")
-    if np.any(L < -tol):
-        raise ValueError("likelihoods must be nonnegative")
-    if L.shape[0] and np.any(np.abs(L.sum(axis=1) - 1.0) > tol):
-        raise ValueError("likelihood rows must sum to 1")
-    return L
 
 
 def _hungarian_min(cost: np.ndarray) -> np.ndarray:
@@ -180,81 +168,6 @@ def greedy_redistribute(proportions: np.ndarray, n_responders: int, caps: list[i
     return counts
 
 
-# --- min-cost flow ----------------------------------------------------------
-
-@dataclass
-class _Edge:
-    dst: int
-    cap: int
-    cost: float
-    flow: int = 0
-
-
-class _FlowNet:
-    """Residual network for successive shortest paths with potentials."""
-
-    def __init__(self, n_nodes: int):
-        self.adj: list[list[int]] = [[] for _ in range(n_nodes)]
-        self.edges: list[_Edge] = []
-
-    def add_edge(self, u: int, v: int, cap: int, cost: float) -> int:
-        idx = len(self.edges)
-        self.edges.append(_Edge(v, cap, cost))
-        self.edges.append(_Edge(u, 0, -cost))
-        self.adj[u].append(idx)
-        self.adj[v].append(idx + 1)
-        return idx
-
-    def residual(self, eid: int) -> int:
-        return self.edges[eid].cap - self.edges[eid].flow
-
-    def min_cost_flow(self, s: int, t: int, amount: int) -> float:
-        """Ship `amount` units s->t; returns total cost. Raises if short."""
-        n = len(self.adj)
-        potential = np.zeros(n)
-        total = 0.0
-        shipped = 0
-        while shipped < amount:
-            dist = np.full(n, np.inf)
-            dist[s] = 0.0
-            prev_edge = np.full(n, -1, dtype=int)
-            heap: list[tuple[float, int]] = [(0.0, s)]
-            done = np.zeros(n, dtype=bool)
-            while heap:
-                d, u = heapq.heappop(heap)
-                if done[u]:
-                    continue
-                done[u] = True
-                for eid in self.adj[u]:
-                    e = self.edges[eid]
-                    if self.residual(eid) <= 0:
-                        continue
-                    nd = d + e.cost + potential[u] - potential[e.dst]
-                    if nd < dist[e.dst] - 1e-15:
-                        dist[e.dst] = nd
-                        prev_edge[e.dst] = eid
-                        heapq.heappush(heap, (nd, e.dst))
-            if not np.isfinite(dist[t]):
-                raise InfeasibleError("flow network cannot carry the required amount")
-            for u in range(n):
-                if np.isfinite(dist[u]):
-                    potential[u] += dist[u]
-            # bottleneck along the augmenting path
-            push = amount - shipped
-            v = t
-            while v != s:
-                eid = prev_edge[v]
-                push = min(push, self.residual(eid))
-                v = self.edges[eid ^ 1].dst
-            v = t
-            while v != s:
-                eid = prev_edge[v]
-                self.edges[eid].flow += push
-                self.edges[eid ^ 1].flow -= push
-                total += push * self.edges[eid].cost
-                v = self.edges[eid ^ 1].dst
-            shipped += push
-        return total
 
 
 def min_cost_flow_assign(
@@ -267,11 +180,15 @@ def min_cost_flow_assign(
 ) -> dict[int, int]:
     """Pick which responders change region and their target depots.
 
-    Builds the layered flow graph source -> shrinking regions -> their
-    responders -> unoccupied depots of growing regions -> growing regions ->
-    sink, with unit capacities in between and cost phi(responder, depot) on
-    the responder->depot edges, then decodes an integral min-cost flow as
-    moves. Returns only the moved responders, as {responder id: depot id}.
+    A transportation problem with per-region quotas, solved as one square
+    assignment (Kuhn 1955). Rows are the responders of shrinking regions in id
+    order, then one "left empty" token per open depot that a growing region
+    does not fill. Columns are the open depots of growing regions in id order,
+    then one "stays" token per responder that a shrinking region keeps. A
+    responder takes a depot at cost phi(responder, depot) or a stay token of
+    its own region at 0; an empty token takes a depot of its own region at 0.
+    Every other pair is forbidden. Returns only the moved responders, as
+    {responder id: depot id}; the total phi of the moves is minimal.
     """
     if set(counts_prev) != set(counts_new):
         raise ValueError("count vectors must cover the same regions")
@@ -284,37 +201,36 @@ def min_cost_flow_assign(
         return {}
 
     movers = sorted(v for v, g in responder_regions.items() if g in leaving)
-    occupied = set(responder_depots.values())
-    open_depots = sorted(
-        d for g in arriving for d in region_depots[g] if d not in occupied
-    )
-
-    source = 0
-    leave_node = {g: 1 + i for i, g in enumerate(leaving)}
-    resp_node = {v: 1 + len(leaving) + i for i, v in enumerate(movers)}
-    depot_node = {d: 1 + len(leaving) + len(movers) + i for i, d in enumerate(open_depots)}
-    arrive_node = {g: 1 + len(leaving) + len(movers) + len(open_depots) + i
-                   for i, g in enumerate(arriving)}
-    sink = 1 + len(leaving) + len(movers) + len(open_depots) + len(arriving)
-
-    net = _FlowNet(sink + 1)
+    stays: list[int] = []
     for g in leaving:
-        net.add_edge(source, leave_node[g], counts_prev[g] - counts_new[g], 0.0)
-    for v in movers:
-        net.add_edge(leave_node[responder_regions[v]], resp_node[v], 1, 0.0)
-    move_edges: dict[int, tuple[int, int]] = {}
-    depot_region = {d: g for g in arriving for d in region_depots[g]}
-    for v in movers:
-        for d in open_depots:
-            eid = net.add_edge(resp_node[v], depot_node[d], 1, float(phi(v, d)))
-            move_edges[eid] = (v, d)
-    for d in open_depots:
-        net.add_edge(depot_node[d], arrive_node[depot_region[d]], 1, 0.0)
+        keep = sum(responder_regions[v] == g for v in movers) - (counts_prev[g] - counts_new[g])
+        if keep < 0:
+            raise InfeasibleError(f"region {g} has too few responders to give up")
+        stays += [g] * keep
+    occupied = set(responder_depots.values())
+    depot_region: dict[int, int] = {}
+    empties: list[int] = []
     for g in arriving:
-        net.add_edge(arrive_node[g], sink, counts_new[g] - counts_prev[g], 0.0)
+        open_g = [d for d in region_depots[g] if d not in occupied]
+        spare = len(open_g) - (counts_new[g] - counts_prev[g])
+        if spare < 0:
+            raise InfeasibleError(f"region {g} has too few open depots for its quota")
+        depot_region.update((d, g) for d in open_g)
+        empties += [g] * spare
+    open_depots = sorted(depot_region)
 
-    net.min_cost_flow(source, sink, n_moves)
-    moves = {v: d for eid, (v, d) in move_edges.items() if net.edges[eid].flow > 0}
-    if len(moves) != n_moves:
-        raise RuntimeError("flow decoding produced a partial move set")
-    return moves
+    # Leaving and arriving regions are disjoint, so equal regions mark exactly
+    # the zero-cost responder/stay and empty/depot pairs.
+    row_region = [responder_regions[v] for v in movers] + empties
+    col_region = [depot_region[d] for d in open_depots] + stays
+    allowed = np.equal.outer(row_region, col_region)
+    allowed[:len(movers), :len(open_depots)] = True
+    move_cost = np.array([[float(phi(v, d)) for d in open_depots] for v in movers])
+    # finite; any assignment with a forbidden pair costs more than one without
+    forbidden = 1.0 + 2.0 * float(np.abs(move_cost).sum())
+    cost = np.where(allowed, 0.0, forbidden)
+    cost[:len(movers), :len(open_depots)] = move_cost
+    assign = _hungarian_min(cost)
+    if not allowed[np.arange(len(row_region)), assign].all():
+        raise InfeasibleError("no move set meets the region counts")
+    return {v: open_depots[c] for v, c in zip(movers, assign) if c < len(open_depots)}

@@ -130,21 +130,6 @@ def sample_chain(rates: RateModel, horizon_s: float, seed: int) -> IncidentChain
     return IncidentChain(tuple(events), horizon_s, seed)
 
 
-def write_chain_csv(chain: IncidentChain, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["report_t_s", "cell_id"])
-        for t, c in chain.incidents:
-            w.writerow([repr(t), c])
-
-
-def read_chain_csv(path, horizon_s: float, seed: int = -1) -> IncidentChain:
-    with open(path, newline="") as f:
-        rows = list(csv.DictReader(f))
-    incidents = tuple((float(r["report_t_s"]), int(r["cell_id"])) for r in rows)
-    return IncidentChain(incidents, horizon_s, seed)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     t_serve_s: float = 1200.0
@@ -191,11 +176,6 @@ class EpisodeResult:
         if not self.response_log:
             return None
         return float(np.mean([r for _, _, r in self.response_log]))
-
-    def percentile(self, q: float) -> float | None:
-        if not self.response_log:
-            return None
-        return float(np.percentile([r for _, _, r in self.response_log], q))
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as f:

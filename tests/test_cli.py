@@ -8,11 +8,8 @@ def test_full_cli_walkthrough(tmp_path):
     scenario = tmp_path / "scenario.json"
     assert main(["generate", "--out", str(scenario), "--seed", "3",
                  "--nx", "3", "--ny", "2", "--depots", "2", "--hospitals", "1",
-                 "--regions", "1", "--rate", "2.0",
-                 "--chains", "2", "--chain-dir", str(tmp_path / "chains"),
-                 "--horizon-days", "0.25"]) == 0
+                 "--regions", "1", "--rate", "2.0"]) == 0
     assert scenario.exists()
-    assert len(list((tmp_path / "chains").glob("chain_*.csv"))) == 2
 
     ckpt = tmp_path / "ckpt"
     assert main(["train", "--scenario", str(scenario), "--out-dir", str(ckpt),

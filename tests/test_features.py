@@ -48,27 +48,37 @@ class TestArrivalTime:
             assert features.arrival_time(r, 0, t, world) >= r.t_avail - t
 
 
+def occupancy(phi, L):
+    """Per-depot occupancy column of the critic features."""
+    return features.critic_features(phi, np.zeros(L.shape[1]), L).reshape(-1, 3)[:, 0]
+
+
+def weighted_arrival(phi, L):
+    """Per-depot likelihood-weighted arrival column of the critic features."""
+    return features.critic_features(phi, np.zeros(L.shape[1]), L).reshape(-1, 3)[:, 1]
+
+
 class TestCriticFeatureParts:
     def test_occupancy_clips(self):
         L = np.array([[0.7, 0.3], [0.6, 0.4]])
-        assert features.depot_occupancy(L, 0) == 1.0
-        assert features.depot_occupancy(L, 1) == pytest.approx(0.7)
+        assert occupancy(np.zeros((2, 2)), L)[0] == 1.0
+        assert occupancy(np.zeros((2, 2)), L)[1] == pytest.approx(0.7)
         empty = np.zeros((0, 2))
-        assert features.depot_occupancy(empty, 0) == 0.0
+        assert occupancy(empty, empty)[0] == 0.0
 
     def test_occupancy_small_sum_passes_through(self):
         L = np.array([[0.4, 0.6]])
-        assert features.depot_occupancy(L, 0) == pytest.approx(0.4)
+        assert occupancy(np.zeros((1, 2)), L)[0] == pytest.approx(0.4)
 
     def test_likely_available_time(self):
         phi = np.array([[300.0, 0.0]])
         L = np.array([[1.0, 0.0]])
-        assert features.likely_available_time(L, phi, 0) == pytest.approx(300.0)
+        assert weighted_arrival(phi, L)[0] == pytest.approx(300.0)
         phi = np.array([[100.0, 1.0], [500.0, 1.0]])
         L = np.array([[0.25, 0.75], [0.5, 0.5]])
-        assert features.likely_available_time(L, phi, 0) == pytest.approx(275.0)
+        assert weighted_arrival(phi, L)[0] == pytest.approx(275.0)
         L = np.zeros((2, 2))
-        assert features.likely_available_time(L, phi, 1) == 0.0
+        assert weighted_arrival(phi, L)[1] == 0.0
 
     def test_occupancy_permutation_invariant(self):
         rng = np.random.default_rng(1)

@@ -7,7 +7,7 @@ import pytest
 from conftest import two_region_world
 
 from ermrl import harness, sim
-from ermrl.agents import DdpgConfig
+from ermrl.agents import DdpgConfig, LlpAgent
 from ermrl.baselines import MctsConfig
 
 
@@ -178,6 +178,20 @@ class TestEvaluation:
                 mcts=MctsConfig(iteration_limit=24, n_samples=4))
             means[planner] = harness.evaluate_spec(spec, world)[0].mean_response_s
         assert means["mcts"] != means["static"]
+
+    def test_drl_without_city_agent_makes_only_region_decisions(self, tmp_path):
+        buckets = [[1.2, 0, 0, 0, 0, 0.3], [0.3, 0, 0, 0, 0, 1.2]] * 42
+        world = two_region_world(rates_by_bucket=buckets, bucket_s=7200)
+        cfg = DdpgConfig()
+        llp_agents = {g: LlpAgent(g, 2, cfg, np.random.default_rng(g)) for g in (0, 1)}
+        harness.save_agents(tmp_path, llp_agents, None, {})
+        spec = harness.ExperimentSpec(scenario_path="unused", planner="drl",
+                                      out_dir=str(tmp_path), fleet_size=2)
+        ctrl = harness.build_controller(spec, world, tmp_path, chain_seed=50)
+        chain = sim.sample_chain(world.rates, 12 * 3600.0, 50)
+        sim.run_episode(world, chain, ctrl, sim.SimConfig(), n_responders=2)
+        assert ctrl.decision_latency
+        assert {level for level, _ in ctrl.decision_latency} == {"region"}
 
     def test_random_planner_eval(self, tmp_path):
         world = two_region_world(rates_by_bucket=[[1.0, 0.5, 0.2, 0.1, 0.4, 0.8]])

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ermrl import optim
 
@@ -195,6 +197,46 @@ def brute_force_moves(counts_prev, counts_new, resp_regions, resp_depots, region
     return best
 
 
+def assert_meets_counts(moves, counts_prev, counts_new, resp_regions, resp_depots,
+                        region_depots):
+    """Each move targets a free depot once, and the moves turn one count
+    vector into the other."""
+    depot_region = {d: g for g, ds in region_depots.items() for d in ds}
+    counts = dict(counts_prev)
+    for v, d in moves.items():
+        assert d not in resp_depots.values()
+        counts[resp_regions[v]] -= 1
+        counts[depot_region[d]] += 1
+    assert counts == counts_new
+    assert len(set(moves.values())) == len(moves)
+
+
+@st.composite
+def transfer_cases(draw):
+    """Small cities with a few net moves between regions and costs from
+    {1, 2, 3}, so that equal-cost move sets are common."""
+    caps = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    prev = [draw(st.integers(0, c)) for c in caps]
+    new = list(prev)
+    for _ in range(draw(st.integers(1, 4))):
+        steps = [(a, b) for a in range(len(caps)) for b in range(len(caps))
+                 if a != b and new[a] > 0 and new[b] < caps[b]]
+        if steps:
+            a, b = draw(st.sampled_from(steps))
+            new[a] -= 1
+            new[b] += 1
+    region_depots, resp_regions, resp_depots = {}, {}, {}
+    for g, c in enumerate(caps):
+        region_depots[g] = list(range(sum(caps[:g]), sum(caps[:g]) + c))
+        for d in region_depots[g][:prev[g]]:
+            resp_regions[len(resp_regions)] = g
+            resp_depots[len(resp_depots)] = d
+    cost = {(v, d): draw(st.sampled_from([1.0, 2.0, 3.0]))
+            for v in resp_regions for d in range(sum(caps))}
+    return (dict(enumerate(prev)), dict(enumerate(new)), resp_regions, resp_depots,
+            region_depots, cost)
+
+
 class TestMinCostFlowAssign:
     def test_single_mover(self):
         moves = optim.min_cost_flow_assign(
@@ -263,16 +305,40 @@ class TestMinCostFlowAssign:
             moves = optim.min_cost_flow_assign(
                 counts_prev, counts_new, resp_regions, resp_depots, region_depots, phi)
             got = sum(phi(v, d) for v, d in moves.items())
-            # feasibility of the decoded move set
-            deltas = {g: 0 for g in range(n_regions)}
-            for v, d in moves.items():
-                deltas[resp_regions[v]] -= 1
-                deltas[next(g for g, ds in region_depots.items() if d in ds)] += 1
-                assert d not in resp_depots.values()
-            for g in range(n_regions):
-                assert counts_prev[g] + deltas[g] == counts_new[g]
-            assert len(set(moves.values())) == len(moves)
+            assert_meets_counts(moves, counts_prev, counts_new, resp_regions,
+                                resp_depots, region_depots)
             if moves:
                 best = brute_force_moves(
                     counts_prev, counts_new, resp_regions, resp_depots, region_depots, phi)
                 assert got == pytest.approx(best, abs=1e-9)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(transfer_cases())
+    def test_matches_bruteforce_with_tied_costs(self, case):
+        counts_prev, counts_new, resp_regions, resp_depots, region_depots, cost = case
+        phi = lambda v, d: cost[(v, d)]
+        moves = optim.min_cost_flow_assign(
+            counts_prev, counts_new, resp_regions, resp_depots, region_depots, phi)
+        assert_meets_counts(moves, counts_prev, counts_new, resp_regions,
+                            resp_depots, region_depots)
+        best = brute_force_moves(
+            counts_prev, counts_new, resp_regions, resp_depots, region_depots, phi)
+        assert sum(phi(v, d) for v, d in moves.items()) == best
+
+    def test_growing_region_short_of_open_depots_rejected(self):
+        # region 1 must gain two responders but has one open depot
+        with pytest.raises(optim.InfeasibleError):
+            optim.min_cost_flow_assign(
+                {0: 2, 1: 1}, {0: 0, 1: 3},
+                {0: 0, 1: 0, 2: 1}, {0: 5, 1: 6, 2: 10}, {0: [5, 6], 1: [10, 11]},
+                lambda v, d: 1.0,
+            )
+
+    def test_shrinking_region_short_of_responders_rejected(self):
+        # the counts say region 0 holds two responders; it holds one
+        with pytest.raises(optim.InfeasibleError):
+            optim.min_cost_flow_assign(
+                {0: 2, 1: 0}, {0: 0, 1: 2},
+                {0: 0}, {0: 5}, {0: [5, 6], 1: [10, 11]},
+                lambda v, d: 1.0,
+            )

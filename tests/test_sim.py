@@ -31,14 +31,6 @@ class TestSampleChain:
         assert ts == sorted(ts)
         assert all(0 <= t <= chain.horizon_s for t in ts)
 
-    def test_csv_round_trip(self, tmp_path):
-        rm = geo.RateModel(3600, np.array([[0.8, 0.3]]))
-        chain = sim.sample_chain(rm, 24 * 3600, seed=3)
-        path = tmp_path / "chain.csv"
-        sim.write_chain_csv(chain, path)
-        loaded = sim.read_chain_csv(path, chain.horizon_s)
-        assert loaded.incidents == chain.incidents
-
 
 class TestDispatch:
     def test_responder_at_scene(self):
