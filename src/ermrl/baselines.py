@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import arrival_time
-from .geo import ScenarioWorld, nearby_rates
+from .geo import ScenarioWorld
 from .optim import _hungarian_min
 from .sim import Simulator
 
@@ -250,8 +250,7 @@ def greedy_plan(sim: Simulator, region: int) -> dict[int, int]:
     if not member_ids:
         return {}
     depot_ids = world.region_depots(region)
-    lam = nearby_rates(world.depot_ids, world.depots, world.grid,
-                       world.travel, world.rates, sim.now)
+    lam = world.nearby_rates_at(sim.now)
     ranked = sorted(depot_ids, key=lambda d: (-lam[d], d))
     chosen = ranked[: len(member_ids)]
     return _match_to_depots(sim, member_ids, sorted(chosen))
@@ -271,7 +270,7 @@ def _match_to_depots(sim: Simulator, member_ids: list[int],
         [arrival_time(sim.responders[rid], d, sim.now, sim.world) for d in chosen]
         for rid in member_ids
     ])
-    assign = _hungarian_min(costs)
+    assign = _hungarian_min(costs)[0]
     return {rid: chosen[int(j)] for rid, j in zip(member_ids, assign)}
 
 

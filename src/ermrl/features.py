@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geo import ScenarioWorld, nearby_rates
+from .geo import ScenarioWorld
 from .sim import ResponderState, eta_to_cell
 
 TIME_SCALE_S = 3600.0
@@ -88,8 +88,7 @@ def region_observation(
 ) -> RegionObservation:
     member_ids = sorted(rid for rid, r in responders.items() if r.region == region)
     depot_ids = world.region_depots(region)
-    lam_all = nearby_rates(world.depot_ids, world.depots, world.grid,
-                           world.travel, world.rates, t)
+    lam_all = world.nearby_rates_at(t)
     lam = np.array([lam_all[d] for d in depot_ids]) / world.rate_scale
     phi = np.array([
         [arrival_time(responders[rid], d, t, world) for d in depot_ids]

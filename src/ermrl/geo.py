@@ -1,7 +1,9 @@
 """Geography, travel model, incident-rate model, and region segmentation.
 
 Everything here is immutable after construction and safe to share between
-threads. Times are seconds, rates are incidents per hour, distances miles.
+threads; ScenarioWorld fills its nearby-rate table on first use, with values
+that never change. Times are seconds, rates are incidents per hour, distances
+miles.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -302,6 +305,9 @@ class ScenarioWorld:
     rates: RateModel
     seg: Segmentation
     rate_scale: float = field(default=0.0)  # feature normalizer; 0 -> derive
+    # (travel bucket, rate bucket) -> {depot id: nearby rate}, filled on first use;
+    # two threads filling one pair store equal values
+    _nearby: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.hospitals:
@@ -322,6 +328,20 @@ class ScenarioWorld:
     def region_caps(self) -> dict[int, int]:
         return {g: len(self.seg.region_depots(g)) for g in self.seg.region_ids}
 
+    def nearby_rates_at(self, t: float) -> MappingProxyType:
+        """Read-only {depot id: nearby incident rate} over all depots at time t.
+
+        Equal to nearby_rates(self.depot_ids, ..., t), which depends on t only
+        through the (travel bucket, rate bucket) pair; each pair is computed
+        once and kept.
+        """
+        key = (self.travel.bucket_index(t), self.rates.bucket_index(t))
+        lam = self._nearby.get(key)
+        if lam is None:
+            lam = nearby_rates(self.depot_ids, self.depots, self.grid, self.travel, self.rates, t)
+            self._nearby[key] = lam
+        return MappingProxyType(lam)
+
     def nearest_hospital(self, from_cell: int, t: float) -> int:
         """Hospital reachable fastest from from_cell at time t; ties to lowest id."""
         best, best_t = None, None
@@ -336,18 +356,15 @@ def _max_depot_rate(world: ScenarioWorld) -> float:
     """Max over bucket boundaries and depots of the nearby incident rate.
 
     Used to normalize rate features; sampled at every travel/rate bucket
-    boundary within the combined cycle.
+    boundary within the combined cycle (the least common multiple of the two
+    periods), so every (travel bucket, rate bucket) pair is seen.
     """
-    period = max(world.travel.period_s, world.rates.period_s)
+    period = math.lcm(world.travel.period_s, world.rates.period_s)
     times = sorted(
         set(range(0, period, world.travel.bucket_duration_s))
         | set(range(0, period, world.rates.bucket_duration_s))
     )
-    ids = world.depot_ids
-    best = 0.0
-    for t in times:
-        lam = nearby_rates(ids, world.depots, world.grid, world.travel, world.rates, t)
-        best = max(best, max(lam.values()))
+    best = max(max(world.nearby_rates_at(t).values()) for t in times)
     return best if best > 0 else 1.0
 
 

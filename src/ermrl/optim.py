@@ -3,7 +3,9 @@
 Maps actor outputs to feasible allocations: max-weight matching for
 within-region depot assignment, greedy remainder-and-cap redistribution for
 region counts, and one assignment solve for moving responders between
-regions. Both assignments use the same Hungarian solver. Matching and
+regions. Both assignments use the same Hungarian solver; matching takes one
+solve and uses its dual potentials to re-solve only near-tied candidates when
+it picks the lexicographically smallest maximizer. Matching and
 redistribution break ties by lowest id; all solvers are pure functions.
 """
 
@@ -18,17 +20,20 @@ class InfeasibleError(ValueError):
     """The requested allocation cannot be satisfied."""
 
 
-def _hungarian_min(cost: np.ndarray) -> np.ndarray:
+def _hungarian_min(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Min-sum assignment on a rectangular matrix (rows <= cols).
 
     Augmenting-path algorithm with dual potentials, O(n^2 m). Returns the
-    assigned column index per row. Ties fall to the lowest column index.
+    assigned column index per row and the potentials u (per row) and v (per
+    column): u[i] + v[j] <= cost[i, j] everywhere, with equality on assigned
+    pairs, and v is 0 on unassigned columns. Among equal-cost assignments the
+    one returned is unspecified; max_weight_match owns the tie rule.
     """
     n, m = cost.shape
     if n > m:
         raise InfeasibleError("more rows than columns in assignment")
     if n == 0:
-        return np.zeros(0, dtype=int)
+        return np.zeros(0, dtype=int), np.zeros(0), np.zeros(m)
     INF = float("inf")
     u = np.zeros(n)
     v = np.zeros(m + 1)
@@ -66,23 +71,23 @@ def _hungarian_min(cost: np.ndarray) -> np.ndarray:
     for j in range(m):
         if col_row[j] >= 0:
             assign[col_row[j]] = j
-    return assign
-
-
-def _best_completion(L: np.ndarray, rows: list[int], cols: list[int]) -> float:
-    if not rows:
-        return 0.0
-    sub = L[np.ix_(rows, cols)]
-    assign = _hungarian_min(-sub)
-    return float(sub[np.arange(len(rows)), assign].sum())
+    return assign, u, v[:m]
 
 
 def max_weight_match(L: np.ndarray) -> dict[int, int]:
     """Assignment maximizing the summed likelihood, one depot per responder.
 
     Each row gets exactly one column, each column at most one row. Among
-    maximizers, the result is the lexicographically smallest column vector in
-    row order.
+    maximizers (within 1e-9), the result is the lexicographically smallest
+    column vector in row order.
+
+    One Hungarian solve gives an optimal assignment and its duals. Row by row,
+    the refinement keeps the current assignment's column unless a free column
+    to its left also completes to a maximizer. By complementary slackness
+    (Kuhn 1955), any assignment using (i, j) is worth at most best - rc[i, j]
+    for the reduced cost rc, so a column with rc above twice the tolerance
+    cannot; only near-tight columns get their completion re-solved, and an
+    accepted completion becomes the current assignment.
     """
     L = np.asarray(L, dtype=float)
     n, m = L.shape
@@ -91,27 +96,25 @@ def max_weight_match(L: np.ndarray) -> dict[int, int]:
     if n == 0:
         return {}
     tol = 1e-9
-    base = _hungarian_min(-L)
-    best = float(L[np.arange(n), base].sum())
-
-    assign: dict[int, int] = {}
-    taken: set[int] = set()
+    assign, u, v = _hungarian_min(-L)
+    best = float(L[np.arange(n), assign].sum())
+    rc = -L - u[:, None] - v[None, :]
+    current = assign.tolist()
+    free = np.ones(m, dtype=bool)
     fixed_value = 0.0
     for i in range(n):
         rest_rows = list(range(i + 1, n))
-        for j in range(m):
-            if j in taken:
-                continue
-            rest_cols = [c for c in range(m) if c not in taken and c != j]
-            value = fixed_value + L[i, j] + _best_completion(L, rest_rows, rest_cols)
+        for j in np.flatnonzero(free[:current[i]] & (rc[i, :current[i]] <= 2 * tol)):
+            rest_cols = [c for c in np.flatnonzero(free) if c != j]
+            sub = L[np.ix_(rest_rows, rest_cols)]
+            rest = _hungarian_min(-sub)[0]
+            value = fixed_value + L[i, j] + float(sub[np.arange(len(rest_rows)), rest].sum())
             if value >= best - tol:
-                assign[i] = j
-                taken.add(j)
-                fixed_value += L[i, j]
+                current[i:] = [int(j)] + [int(rest_cols[c]) for c in rest]
                 break
-        else:
-            raise RuntimeError("matching refinement failed to place a row")
-    return assign
+        free[current[i]] = False
+        fixed_value += L[i, current[i]]
+    return dict(enumerate(current))
 
 
 def normalize_hlp(a_h: np.ndarray) -> np.ndarray:
@@ -230,7 +233,7 @@ def min_cost_flow_assign(
     forbidden = 1.0 + 2.0 * float(np.abs(move_cost).sum())
     cost = np.where(allowed, 0.0, forbidden)
     cost[:len(movers), :len(open_depots)] = move_cost
-    assign = _hungarian_min(cost)
+    assign = _hungarian_min(cost)[0]
     if not allowed[np.arange(len(row_region)), assign].all():
         raise InfeasibleError("no move set meets the region counts")
     return {v: open_depots[c] for v, c in zip(movers, assign) if c < len(open_depots)}

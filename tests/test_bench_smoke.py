@@ -1,0 +1,20 @@
+"""Smoke test of the benchmark command: one short metro-drl run passes its
+output checks. No timing is asserted."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_metro_drl_run_passes_its_checks():
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "metro-drl", "--seed", "0",
+         "--seconds", "1", "--trace", "0"],
+        cwd=ROOT, stdout=subprocess.PIPE, text=True, timeout=600, check=True)
+    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert last["correct"] is True
+    assert last["failed"] == 0
+    assert last["attempted"] > 0

@@ -140,6 +140,75 @@ class TestNearbyRates:
         assert lam[1] == pytest.approx(1.0)
 
 
+def lcm_cycle_world(travel_bucket_s, travel_tables, rate_bucket_s, rate_rows, depot_cells,
+                    rate_scale=0.0):
+    n = len(rate_rows[0])
+    grid = line_grid(n)
+    depots = {i: geo.Depot(i, c) for i, c in enumerate(depot_cells)}
+    return geo.ScenarioWorld(grid, depots, {0: geo.Hospital(0, 0)},
+                             manual_travel(travel_tables, travel_bucket_s),
+                             geo.RateModel(rate_bucket_s, np.array(rate_rows, dtype=float)),
+                             geo.single_region(grid, depots), rate_scale)
+
+
+class TestNearbyRateTable:
+    def random_world(self, rate_scale=0.0):
+        # 7 travel buckets of 12 h (a 3.5-day cycle) against 3 rate buckets of
+        # 8 h (a 1-day cycle): boundaries interleave and the pairs repeat weekly
+        rng = np.random.default_rng(4)
+        tables = rng.uniform(0, 900, size=(7, 6, 6))
+        for b in range(7):
+            tables[b][np.diag_indices(6)] = 0.0
+        return lcm_cycle_world(12 * 3600, tables, 8 * 3600,
+                               rng.uniform(0, 2, size=(3, 6)), [0, 2, 5], rate_scale)
+
+    def test_equals_a_fresh_lookup_at_every_boundary(self):
+        world = self.random_world()
+        times = sorted(set(range(0, geo.WEEK_S, 12 * 3600)) | set(range(0, geo.WEEK_S, 8 * 3600)))
+        assert len(times) == 14 + 21 - 7
+        for t in times:
+            for s in (t, t + 3599.5):
+                fresh = geo.nearby_rates(world.depot_ids, world.depots, world.grid,
+                                         world.travel, world.rates, s)
+                assert dict(world.nearby_rates_at(s)) == fresh
+
+    def test_one_computation_per_bucket_pair(self, monkeypatch):
+        calls = []
+        real = geo.nearby_rates
+        monkeypatch.setattr(geo, "nearby_rates", lambda *a: calls.append(a[-1]) or real(*a))
+        world = self.random_world(rate_scale=1.0)  # given, so nothing is derived
+        assert calls == []
+        for t in range(0, 2 * geo.WEEK_S, 1800):
+            world.nearby_rates_at(float(t))
+        pairs = [(world.travel.bucket_index(t), world.rates.bucket_index(t)) for t in calls]
+        assert len(pairs) == len(set(pairs)) == 21
+        calls.clear()
+        self.random_world()  # deriving rate_scale visits every pair once
+        assert len(calls) == 21
+
+    def test_callers_cannot_change_later_lookups(self):
+        world = self.random_world()
+        lam = world.nearby_rates_at(0.0)
+        before = dict(lam)
+        with pytest.raises(TypeError):
+            lam[0] = 99.0
+        with pytest.raises(TypeError):
+            del lam[0]
+        copy = dict(lam)
+        copy[0] = 99.0
+        assert dict(world.nearby_rates_at(0.0)) == before
+
+    def test_rate_scale_covers_the_whole_cycle(self):
+        # travel bucket 0 sends both cells to depot 0; it meets rate bucket 1,
+        # where both cells are busy, only in the second half of the week
+        zero = np.zeros((2, 2))
+        apart = np.array([[0.0, 1.0], [1.0, 0.0]])
+        world = lcm_cycle_world(12 * 3600, [zero] + [apart] * 6, 12 * 3600,
+                                [[1.0, 0.0], [1.0, 1.0]], [0, 1])
+        assert world.rate_scale == 2.0
+        assert world.nearby_rates_at(84 * 3600.0)[0] == 2.0
+
+
 def two_blob_grid():
     pts = [(0.0, 0.0), (0.2, 0.1), (0.1, 0.3), (0.3, 0.2),
            (9.0, 9.0), (9.2, 9.1), (9.1, 9.3), (9.3, 9.2)]

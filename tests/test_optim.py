@@ -19,6 +19,64 @@ def brute_force_match(L):
     return dict(enumerate(best)), best_obj
 
 
+def reference_match(L):
+    """The lexicographic refinement without duals: for each row in order, the
+    first free column whose best completion (one Hungarian solve) still
+    reaches the optimum within 1e-9."""
+    n, m = L.shape
+    assign, _, _ = optim._hungarian_min(-L)
+    best = float(L[np.arange(n), assign].sum())
+    out, taken, fixed_value = {}, set(), 0.0
+    for i in range(n):
+        rows = list(range(i + 1, n))
+        for j in range(m):
+            if j in taken:
+                continue
+            cols = [c for c in range(m) if c not in taken and c != j]
+            sub = L[np.ix_(rows, cols)]
+            rest = optim._hungarian_min(-sub)[0]
+            value = fixed_value + L[i, j] + float(sub[np.arange(len(rows)), rest].sum())
+            if value >= best - 1e-9:
+                out[i] = j
+                taken.add(j)
+                fixed_value += L[i, j]
+                break
+    return out
+
+
+@st.composite
+def likelihood_matrices(draw):
+    """Up to 10 x 10: quantized entries (exact ties everywhere) or softmax rows."""
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(n, 10))
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(st.integers(0, 3), min_size=n * m, max_size=n * m)),
+                        dtype=float).reshape(n, m) / 4.0
+    z = np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=n * m, max_size=n * m)))
+    e = np.exp(z.reshape(n, m))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+class TestHungarianDuals:
+    def test_duals_are_feasible_and_tight_on_the_assignment(self):
+        rng = np.random.default_rng(11)
+        for k in range(200):
+            n = int(rng.integers(1, 11))
+            m = int(rng.integers(n, 14))
+            cost = (rng.integers(0, 4, size=(n, m)) / 4.0 if k % 2
+                    else rng.uniform(-1, 1, size=(n, m)))
+            assign, u, v = optim._hungarian_min(cost)
+            rc = cost - u[:, None] - v[None, :]
+            assert rc.min() >= -1e-12
+            assert np.abs(rc[np.arange(n), assign]).max() <= 1e-12
+            unmatched = np.setdiff1d(np.arange(m), assign)
+            assert np.all(v[unmatched] == 0.0)
+
+    def test_empty_problem(self):
+        assign, u, v = optim._hungarian_min(np.zeros((0, 3)))
+        assert len(assign) == 0 and len(u) == 0 and np.all(v == 0.0)
+
+
 class TestMaxWeightMatch:
     def test_identity(self):
         assign = optim.max_weight_match(np.eye(3))
@@ -69,6 +127,27 @@ class TestMaxWeightMatch:
     def test_more_rows_than_cols_rejected(self):
         with pytest.raises(optim.InfeasibleError):
             optim.max_weight_match(np.ones((3, 2)) / 2)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(likelihood_matrices())
+    def test_matches_reference_refinement(self, L):
+        assert optim.max_weight_match(L) == reference_match(L)
+
+    def test_one_solve_without_near_ties(self, monkeypatch):
+        # the optimum (1, 0, 3) leaves no near-tight column left of a row's pick
+        L = np.array([[0.1, 0.9, 0.3, 0.2], [0.8, 0.2, 0.4, 0.1], [0.3, 0.1, 0.2, 0.7]])
+        solve = optim._hungarian_min
+        calls = []
+        monkeypatch.setattr(optim, "_hungarian_min",
+                            lambda cost: calls.append(cost.shape) or solve(cost))
+        assert optim.max_weight_match(L) == {0: 1, 1: 0, 2: 3}
+        assert calls == [(3, 4)]
+
+    def test_tied_column_left_of_the_solver_pick(self):
+        # the solver returns (2, 0); the smallest maximizer is (0, 2)
+        L = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, 0.5]])
+        assert list(optim._hungarian_min(-L)[0]) == [2, 0]
+        assert optim.max_weight_match(L) == {0: 0, 1: 2}
 
 
 class TestNormalizeHlp:
