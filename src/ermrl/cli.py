@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -15,11 +14,10 @@ from .agents import DdpgConfig
 from .baselines import MctsConfig
 from .geo import ScenarioError, load_world, save_world
 from .harness import (ExperimentSpec, ScenarioParams, TrainConfig, compare_runs,
-                      evaluate_spec, filter_chain, generate_scenario, load_agents,
-                      noise_sweep, permutation_test, read_run_summary, save_agents,
-                      train_hlp_agent, train_llp_agent, write_noise_matrix,
-                      write_run_summary)
-from .hierarchy import DdpgPlanner, HierarchyController, TriggerPolicy
+                      evaluate_spec, filter_chain, generate_scenario, noise_sweep,
+                      read_run_summary, save_agents, train_hlp_agent,
+                      train_llp_agent, write_noise_matrix, write_run_summary)
+from .hierarchy import TriggerPolicy, learned_controller
 from .sim import SimConfig, run_episode, sample_chain
 
 PLANNERS = ("drl", "mcts", "pmedian", "greedy", "static", "random")
@@ -129,10 +127,8 @@ def _eval_llp(world, agent, region, chain_seed, cfg):
 
 def _eval_hierarchy(world, llp_agents, hlp_agent, chain_seed, cfg):
     chain = sample_chain(world.rates, cfg.horizon_s, chain_seed)
-    planner = DdpgPlanner(llp_agents, hlp_agent)
-    controller = HierarchyController(world, TriggerPolicy(mode="ours"), planner,
-                                     planner if hlp_agent is not None else None,
-                                     seed=0)
+    controller = learned_controller(world, TriggerPolicy(mode="ours"), llp_agents,
+                                    hlp_agent, seed=0)
     res = run_episode(world, chain, controller, SimConfig(t_serve_s=cfg.t_serve_s),
                       n_responders=cfg.default_fleet(world))
     return res.mean_response_s

@@ -328,6 +328,10 @@ class ScenarioWorld:
     def region_caps(self) -> dict[int, int]:
         return {g: len(self.seg.region_depots(g)) for g in self.seg.region_ids}
 
+    def region_rates(self, t: float) -> dict[int, float]:
+        """{region id: summed incident rate over the region's cells} at time t."""
+        return {g: region_rate(self.seg, self.rates, g, t) for g in self.seg.region_ids}
+
     def nearby_rates_at(self, t: float) -> MappingProxyType:
         """Read-only {depot id: nearby incident rate} over all depots at time t.
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +23,11 @@ from .agents import (DdpgConfig, HlpAgent, HlpTransition, LlpAgent,
                      LlpTransition, hlp_reward, reward_from_response,
                      sample_hlp_fleet, sample_llp_fleet)
 from .baselines import BaselineRegionPlanner, MctsConfig
-from .features import NoiseModel, hlp_observation, region_observation
-from .geo import ScenarioWorld, load_world, region_rate
-from .hierarchy import DdpgPlanner, HierarchyController, TriggerPolicy
-from .sim import (EpisodeResult, IncidentChain, SimConfig, Simulator,
-                  run_episode, sample_chain)
+from .features import NoiseModel, region_observation
+from .geo import ScenarioWorld
+from .hierarchy import (DdpgPlanner, HierarchyController, TriggerPolicy,
+                        city_decision, city_observation, learned_controller)
+from .sim import IncidentChain, SimConfig, Simulator, run_episode, sample_chain
 
 
 # --- statistics ---------------------------------------------------------------
@@ -166,6 +166,13 @@ def resolve_fleet(world: ScenarioWorld, fleet_size: int | None) -> int:
     return max(1, int(round(0.7 * len(world.depots))))
 
 
+def _learn(agent, transition, train: bool, rng: np.random.Generator) -> None:
+    """Store one transition; when training, take one update step."""
+    agent.observe(transition)
+    if train:
+        agent.train_step(rng)
+
+
 class LlpTrainingController:
     """Single-region training: decision at each incident or hourly lull."""
 
@@ -194,10 +201,8 @@ class LlpTrainingController:
     def _epoch(self, sim: Simulator, reward: float | None):
         obs = region_observation(sim.responders, self.agent.region, sim.now, self.world)
         if self.pending is not None and reward is not None:
-            prev_obs, prev_action = self.pending
-            self.agent.observe(LlpTransition(prev_obs, prev_action, reward, obs, False))
-            if self.train:
-                self.agent.train_step(self.rng)
+            _learn(self.agent, LlpTransition(*self.pending, reward, obs, False),
+                   self.train, self.rng)
         likelihoods, assignment = self.agent.act(obs, explore=self.train, rng=self.rng)
         sim.apply_depot_moves(assignment)
         self.pending = (obs, likelihoods)
@@ -206,10 +211,7 @@ class LlpTrainingController:
         if self.pending is None:
             return
         obs = region_observation(sim.responders, self.agent.region, sim.now, self.world)
-        prev_obs, prev_action = self.pending
-        self.agent.observe(LlpTransition(prev_obs, prev_action, 0.0, obs, True))
-        if self.train:
-            self.agent.train_step(self.rng)
+        _learn(self.agent, LlpTransition(*self.pending, 0.0, obs, True), self.train, self.rng)
         self.pending = None
 
 
@@ -260,24 +262,13 @@ class HlpTrainer:
         self._open = None    # (obs, a_h) of the cycle in progress
 
     def plan_counts(self, sim: Simulator, rng) -> dict[int, int]:
-        world = self.world
-        counts = sim.region_counts()
-        rates = {g: region_rate(world.seg, world.rates, g, sim.now)
-                 for g in world.seg.region_ids}
-        obs = hlp_observation(rates, counts, len(sim.responders), world.rate_scale)
+        obs = city_observation(sim)
         if self.pending is not None:
-            p_obs, p_action, p_reward = self.pending
-            self.agent.observe(HlpTransition(p_obs, p_action, p_reward, obs, False))
-            if self.train:
-                self.agent.train_step(self.rng)
+            _learn(self.agent, HlpTransition(*self.pending, obs, False), self.train, self.rng)
             self.pending = None
-        caps = world.region_caps()
-        region_ids = sorted(caps)
-        a_h, count_arr = self.agent.act(obs, len(sim.responders),
-                                        [caps[g] for g in region_ids],
-                                        explore=self.train, rng=self.rng)
+        a_h, counts = city_decision(self.agent, obs, sim, self.train, self.rng)
         self._open = (obs, a_h)
-        return {g: int(c) for g, c in zip(region_ids, count_arr)}
+        return counts
 
     def record_cycle(self, sim: Simulator, event):
         """Called after the redistribution and follow-up region planning."""
@@ -286,8 +277,6 @@ class HlpTrainer:
         obs, a_h = self._open
         self._open = None
         world = self.world
-        rates = {g: region_rate(world.seg, world.rates, g, sim.now)
-                 for g in world.seg.region_ids}
         region_obs, region_actions = {}, {}
         for g, agent in self.llp_agents.items():
             r_obs = region_observation(sim.responders, g, sim.now, world)
@@ -297,17 +286,17 @@ class HlpTrainer:
             else:
                 likelihoods = np.zeros((0, r_obs.n_depots))
             region_actions[g] = likelihoods
-        reward = hlp_reward(self.llp_agents, region_obs, region_actions, rates,
+        reward = hlp_reward(self.llp_agents, region_obs, region_actions,
+                            world.region_rates(sim.now),
                             normalize=self.agent.cfg.normalize_hlp_reward)
         self.pending = (obs, a_h, reward)
 
     def end_episode(self, sim: Simulator):
         if self.pending is None:
             return
-        p_obs, p_action, p_reward = self.pending
-        self.agent.observe(HlpTransition(p_obs, p_action, p_reward, p_obs, True))
-        if self.train:
-            self.agent.train_step(self.rng)
+        # the terminal transition repeats its own observation as the next one
+        _learn(self.agent, HlpTransition(*self.pending, self.pending[0], True),
+               self.train, self.rng)
         self.pending = None
 
 
@@ -334,8 +323,7 @@ def train_hlp_agent(world: ScenarioWorld, llp_agents: dict[int, LlpAgent],
         trainer = HlpTrainer(agent, llp_agents, world, run_rng)
         planner = DdpgPlanner(llp_agents)
         controller = HierarchyController(
-            world, TriggerPolicy(mode="ours", min_hlp_interval_s=cfg.min_hlp_interval_s,
-                                 idle_timeout_s=cfg.idle_timeout_s),
+            world, TriggerPolicy(mode="ours", min_hlp_interval_s=cfg.min_hlp_interval_s),
             planner, hlp_planner=trainer)
         controller.hlp_cycle_hook = trainer.record_cycle
         controller.episode_end_hook = trainer.end_episode
@@ -347,21 +335,25 @@ def train_hlp_agent(world: ScenarioWorld, llp_agents: dict[int, LlpAgent],
 
 # --- checkpoints ----------------------------------------------------------------
 
+_NETWORK_ROLES = ("actor", "actor_target", "critic", "critic_target")
+
+
+def _checkpoint_prefixes(llp_agents: dict[int, LlpAgent],
+                         hlp_agent: HlpAgent | None) -> dict:
+    """{checkpoint name prefix: agent}, region agents first."""
+    named = {f"llp{g}": agent for g, agent in llp_agents.items()}
+    if hlp_agent is not None:
+        named["hlp"] = hlp_agent
+    return named
+
+
 def save_agents(path_dir, llp_agents: dict[int, LlpAgent],
                 hlp_agent: HlpAgent | None, manifest: dict) -> None:
     path_dir = Path(path_dir)
     path_dir.mkdir(parents=True, exist_ok=True)
-    named = {}
-    for g, agent in llp_agents.items():
-        named[f"llp{g}_actor"] = agent.actor
-        named[f"llp{g}_actor_target"] = agent.actor_target
-        named[f"llp{g}_critic"] = agent.critic
-        named[f"llp{g}_critic_target"] = agent.critic_target
-    if hlp_agent is not None:
-        named["hlp_actor"] = hlp_agent.actor
-        named["hlp_actor_target"] = hlp_agent.actor_target
-        named["hlp_critic"] = hlp_agent.critic
-        named["hlp_critic_target"] = hlp_agent.critic_target
+    named = {f"{prefix}_{role}": getattr(agent, role)
+             for prefix, agent in _checkpoint_prefixes(llp_agents, hlp_agent).items()
+             for role in _NETWORK_ROLES}
     nn.save_checkpoint(path_dir / "networks.npz", named)
     with open(path_dir / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2)
@@ -375,23 +367,14 @@ def load_agents(path_dir, world: ScenarioWorld,
     if ddpg is None:
         ddpg = DdpgConfig(**manifest.get("ddpg", {}))
     nets = nn.load_checkpoint(path_dir / "networks.npz")
-    llp_agents: dict[int, LlpAgent] = {}
     rng = np.random.default_rng(0)
-    for g in world.seg.region_ids:
-        n_dep = len(world.region_depots(g))
-        agent = LlpAgent(g, n_dep, ddpg, rng)
-        agent.actor = nets[f"llp{g}_actor"]
-        agent.actor_target = nets[f"llp{g}_actor_target"]
-        agent.critic = nets[f"llp{g}_critic"]
-        agent.critic_target = nets[f"llp{g}_critic_target"]
-        llp_agents[g] = agent
-    hlp_agent = None
-    if "hlp_actor" in nets:
-        hlp_agent = HlpAgent(len(world.seg.region_ids), ddpg, rng)
-        hlp_agent.actor = nets["hlp_actor"]
-        hlp_agent.actor_target = nets["hlp_actor_target"]
-        hlp_agent.critic = nets["hlp_critic"]
-        hlp_agent.critic_target = nets["hlp_critic_target"]
+    llp_agents = {g: LlpAgent(g, len(world.region_depots(g)), ddpg, rng)
+                  for g in world.seg.region_ids}
+    hlp_agent = (HlpAgent(len(world.seg.region_ids), ddpg, rng)
+                 if "hlp_actor" in nets else None)
+    for prefix, agent in _checkpoint_prefixes(llp_agents, hlp_agent).items():
+        for role in _NETWORK_ROLES:
+            setattr(agent, role, nets[f"{prefix}_{role}"])
     return llp_agents, hlp_agent
 
 
@@ -424,11 +407,8 @@ def build_controller(spec: ExperimentSpec, world: ScenarioWorld,
     ctrl_seed = int(np.random.SeedSequence((spec.seed, chain_seed)).generate_state(1)[0])
     if spec.planner == "drl":
         llp_agents, hlp_agent = load_agents(checkpoint_dir, world)
-        planner = DdpgPlanner(llp_agents, hlp_agent, noise=noise)
-        trigger = TriggerPolicy(mode=spec.trigger_mode or "ours")
-        return HierarchyController(world, trigger, planner,
-                                   planner if hlp_agent is not None else None,
-                                   seed=ctrl_seed)
+        return learned_controller(world, TriggerPolicy(mode=spec.trigger_mode or "ours"),
+                                  llp_agents, hlp_agent, noise=noise, seed=ctrl_seed)
     if spec.planner == "static":
         return None
     planner = BaselineRegionPlanner(spec.planner, mcts_cfg=spec.mcts, alpha=spec.alpha)
@@ -467,6 +447,9 @@ def _eval_one_chain(packed) -> ChainRecord:
     cfg = SimConfig(idle_timeout_s=idle)
     fleet = resolve_fleet(world, spec.fleet_size)
     result = run_episode(world, chain, controller, cfg, n_responders=fleet)
+    log_dir = Path(spec.out_dir) / "episodes"
+    log_dir.mkdir(parents=True, exist_ok=True)
+    result.write_csv(log_dir / f"chain_{chain_seed}.csv")
     lats = [dt for _, dt in controller.decision_latency] if controller else []
     return ChainRecord(
         chain_seed=chain_seed,
@@ -488,11 +471,10 @@ def write_run_summary(records: list[ChainRecord], out_dir) -> None:
             w.writerow([r.chain_seed, r.n_incidents,
                         "" if r.mean_response_s is None else repr(r.mean_response_s)])
     lats = [r.latency_mean_s for r in records if r.latency_mean_s is not None]
+    means = [r.mean_response_s for r in records if r.mean_response_s is not None]
     summary = {
         "chains": len(records),
-        "mean_response_s": float(np.mean([r.mean_response_s for r in records
-                                          if r.mean_response_s is not None]))
-        if any(r.mean_response_s is not None for r in records) else None,
+        "mean_response_s": float(np.mean(means)) if means else None,
         "decision_latency_mean_s": float(np.mean(lats)) if lats else None,
         "decision_latency_max_s": max((r.latency_max_s for r in records
                                        if r.latency_max_s is not None), default=None),
@@ -513,12 +495,13 @@ def read_run_summary(out_dir) -> list[tuple[int, float]]:
 
 def noise_sweep(spec: ExperimentSpec, world: ScenarioWorld, checkpoint_dir,
                 sigmas: list[float], workers: int = 1) -> list[dict]:
-    """Mean response over the sigma grid applied to both observation channels."""
-    from dataclasses import replace
+    """Mean response over the sigma grid applied to both observation channels.
+    Each sigma pair writes its episode logs under its own out_dir."""
     rows = []
     for s_rate in sigmas:
         for s_time in sigmas:
-            noisy = replace(spec, sigma_rate=s_rate, sigma_time=s_time)
+            noisy = replace(spec, sigma_rate=s_rate, sigma_time=s_time,
+                            out_dir=str(Path(spec.out_dir) / f"sigma_{s_rate!r}_{s_time!r}"))
             records = evaluate_spec(noisy, world, checkpoint_dir, workers)
             means = [r.mean_response_s for r in records if r.mean_response_s is not None]
             rows.append({"sigma_rate": s_rate, "sigma_time": s_time,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import NoiseModel, arrival_time, hlp_observation, region_observation
-from .geo import ScenarioWorld, region_rate
+from .geo import ScenarioWorld
 from .optim import min_cost_flow_assign
 from .sim import Event, Simulator
 
@@ -42,17 +42,13 @@ def apply_hlp_counts(sim: Simulator, counts_new: dict[int, int]) -> set[int]:
     counts_prev = sim.region_counts()
     if counts_prev == counts_new:
         return set()
-    responder_regions = {rid: r.region for rid, r in sim.responders.items()}
-    responder_depots = {rid: r.depot for rid, r in sim.responders.items()}
-    region_depots = {g: world.region_depots(g) for g in world.seg.region_ids}
-
-    def phi(rid: int, depot_id: int) -> float:
-        return arrival_time(sim.responders[rid], depot_id, sim.now, world)
-
-    moves = min_cost_flow_assign(counts_prev, counts_new, responder_regions,
-                                 responder_depots, region_depots, phi)
-    region_moves = {rid: (world.seg.depot_regions[d], d) for rid, d in moves.items()}
-    affected = sim.apply_region_moves(region_moves)
+    moves = min_cost_flow_assign(
+        counts_prev, counts_new,
+        responder_regions={rid: r.region for rid, r in sim.responders.items()},
+        responder_depots={rid: r.depot for rid, r in sim.responders.items()},
+        region_depots={g: world.region_depots(g) for g in world.seg.region_ids},
+        phi=lambda rid, depot: arrival_time(sim.responders[rid], depot, sim.now, world))
+    affected = sim.apply_region_moves(moves)
     if sim.region_counts() != counts_new:
         raise RuntimeError("redistribution did not reach the requested counts")
     return affected
@@ -63,6 +59,8 @@ class HierarchyController:
 
     region_planner: object with plan_region(sim, region, rng) -> {rid: depot}
     hlp_planner:    optional object with plan_counts(sim, rng) -> {region: count}
+    Region plans reach the simulator through sim.apply_depot_moves and city
+    counts through apply_hlp_counts, which calls sim.apply_region_moves.
     decision_latency holds one (level, wall seconds) entry per planner call of
     the current episode, level "region" or "city". hlp_cycle_hook and
     episode_end_hook (when set) let city-agent training follow each
@@ -80,13 +78,13 @@ class HierarchyController:
         self.hlp_cycle_hook = None   # fires after redistribution + follow-up LLPs
         self.episode_end_hook = None
         self._last_hlp_t = None
-        self._prev_rates: tuple | None = None
+        self._prev_rates: dict[int, float] | None = None
 
     # -- simulator callbacks --
 
     def begin_episode(self, sim: Simulator):
         self._last_hlp_t = None
-        self._prev_rates = self._region_rates(0.0)
+        self._prev_rates = self.world.region_rates(0.0)
         self.decision_latency = []
         for g in self.world.seg.region_ids:
             self._invoke_llp(sim, g)
@@ -105,11 +103,11 @@ class HierarchyController:
 
     def _on_event_ours(self, sim: Simulator, event: Event):
         if event.kind in ("incident", "release"):
-            dispatch = getattr(sim, "last_dispatch", None)
+            dispatch = sim.last_dispatch
             if dispatch is not None and dispatch.t == sim.now:
                 self._invoke_llp(sim, dispatch.region)
         elif event.kind == "rate_change":
-            cur = self._region_rates(sim.now)
+            cur = self.world.region_rates(sim.now)
             changed = cur != self._prev_rates
             self._prev_rates = cur
             if not changed or self.hlp_planner is None:
@@ -124,7 +122,6 @@ class HierarchyController:
                     self._invoke_llp(sim, g)
             if self.hlp_cycle_hook is not None:
                 self.hlp_cycle_hook(sim, event)
-            sim.reset_idle_timer()
 
     def _on_event_baseline(self, sim: Simulator, event: Event):
         if event.kind in ("incident", "idle_tick"):
@@ -132,14 +129,8 @@ class HierarchyController:
                 self._invoke_hlp(sim)
             for g in self.world.seg.region_ids:
                 self._invoke_llp(sim, g)
-            if event.kind != "incident":
-                sim.reset_idle_timer()
 
     # -- invocation helpers --
-
-    def _region_rates(self, t: float) -> tuple:
-        return tuple(region_rate(self.world.seg, self.world.rates, g, t)
-                     for g in self.world.seg.region_ids)
 
     def _invoke_llp(self, sim: Simulator, region: int):
         if not sim.region_responders(region):
@@ -157,33 +148,49 @@ class HierarchyController:
         return bool(apply_hlp_counts(sim, counts_new))
 
 
+def city_observation(sim: Simulator, noise: NoiseModel | None = None,
+                     rng: np.random.Generator | None = None) -> np.ndarray:
+    """The city agent's view of sim: region rates and responder counts."""
+    world = sim.world
+    return hlp_observation(world.region_rates(sim.now), sim.region_counts(),
+                           len(sim.responders), world.rate_scale, noise, rng)
+
+
+def city_decision(agent, obs: np.ndarray, sim: Simulator, explore: bool,
+                  rng: np.random.Generator | None) -> tuple[np.ndarray, dict[int, int]]:
+    """The city agent's raw action and the {region: count} it maps to in sim."""
+    caps = sim.world.region_caps()
+    region_ids = sorted(caps)
+    a_h, count_arr = agent.act(obs, len(sim.responders),
+                               [caps[g] for g in region_ids], explore, rng)
+    return a_h, {g: int(c) for g, c in zip(region_ids, count_arr)}
+
+
 class DdpgPlanner:
     """Greedy (evaluation-mode) planner over trained agents."""
 
     def __init__(self, llp_agents: dict, hlp_agent=None,
-                 noise: NoiseModel | None = None, explore: bool = False):
+                 noise: NoiseModel | None = None):
         self.llp_agents = llp_agents
         self.hlp_agent = hlp_agent
         self.noise = noise
-        self.explore = explore
 
     def plan_region(self, sim: Simulator, region: int, rng) -> dict[int, int]:
         agent = self.llp_agents[region]
         obs = region_observation(sim.responders, region, sim.now, sim.world,
                                  self.noise, rng)
-        _, assignment = agent.act(obs, self.explore, rng)
+        _, assignment = agent.act(obs, False, rng)
         return assignment
 
     def plan_counts(self, sim: Simulator, rng) -> dict[int, int]:
-        world = sim.world
-        counts = sim.region_counts()
-        rates = {g: region_rate(world.seg, world.rates, g, sim.now)
-                 for g in world.seg.region_ids}
-        obs = hlp_observation(rates, counts, len(sim.responders), world.rate_scale,
-                              self.noise, rng)
-        caps = world.region_caps()
-        region_ids = sorted(caps)
-        _, count_arr = self.hlp_agent.act(obs, len(sim.responders),
-                                          [caps[g] for g in region_ids],
-                                          self.explore, rng)
-        return {g: int(c) for g, c in zip(region_ids, count_arr)}
+        obs = city_observation(sim, self.noise, rng)
+        return city_decision(self.hlp_agent, obs, sim, False, rng)[1]
+
+
+def learned_controller(world: ScenarioWorld, trigger: TriggerPolicy, llp_agents: dict,
+                       hlp_agent=None, noise: NoiseModel | None = None,
+                       seed: int = 0) -> HierarchyController:
+    """Trained agents behind one DdpgPlanner; no city agent, no city planner."""
+    planner = DdpgPlanner(llp_agents, hlp_agent, noise=noise)
+    return HierarchyController(world, trigger, planner,
+                               planner if hlp_agent is not None else None, seed=seed)

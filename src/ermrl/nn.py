@@ -10,7 +10,7 @@ set, so the stack is permutation-equivariant by construction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

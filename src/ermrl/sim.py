@@ -186,7 +186,11 @@ class EpisodeResult:
 
 
 class Simulator:
-    """One episode: an isolated, single-threaded state machine."""
+    """One episode: an isolated, single-threaded state machine.
+
+    Planners change it only through apply_depot_moves (new depots inside the
+    responders' regions) and apply_region_moves (depots in other regions),
+    which reroute available responders at once and check depot capacity."""
 
     def __init__(self, world: ScenarioWorld, chain: IncidentChain,
                  config: SimConfig, controller=None,
@@ -270,10 +274,9 @@ class Simulator:
         elif ev.kind == "rate_change":
             self._notify(ev)
         elif ev.kind == "idle_tick":
-            if ev.t != self._last_quiet_t + self.cfg.idle_timeout_s:
-                return  # stale tick; a fresher one is scheduled
-            if ev.t > self.chain.horizon_s:
-                return
+            if (ev.t != self._last_quiet_t + self.cfg.idle_timeout_s
+                    or ev.t > self.chain.horizon_s):
+                return  # stale (a fresher tick is scheduled) or past the horizon
             self._last_quiet_t = ev.t
             self._notify(ev)
             self._push(Event("idle_tick", ev.t + self.cfg.idle_timeout_s))
@@ -283,12 +286,6 @@ class Simulator:
     def _notify(self, ev: Event):
         if self.controller is not None:
             self.controller.on_event(self, ev)
-
-    def reset_idle_timer(self):
-        """Controllers call this when they invoke planners outside incident events."""
-        if self.cfg.idle_timeout_s:
-            self._last_quiet_t = self.now
-            self._push(Event("idle_tick", self.now + self.cfg.idle_timeout_s))
 
     # -- core operations --
 
@@ -380,21 +377,15 @@ class Simulator:
                 self._send_to_depot(rid)
         self._check_capacity()
 
-    def apply_region_moves(self, moves: dict[int, tuple[int, int]]):
-        """HLP reallocation: each entry moves a responder to (region, depot)."""
-        affected: set[int] = set()
-        for rid in sorted(moves):
-            region, depot = moves[rid]
-            r = self.responders[rid]
-            affected.add(r.region)
-            affected.add(region)
-            r.region = region
-            r.depot = depot
-            if r.available:
-                r.move_token += 1
-                self._send_to_depot(rid)
-        self._check_capacity()
-        return affected
+    def apply_region_moves(self, moves: dict[int, int]) -> set[int]:
+        """City reallocation: each mover joins the region of its new depot,
+        then moves there as apply_depot_moves does. Returns the regions whose
+        membership changed."""
+        left = {self.responders[rid].region for rid in moves}
+        for rid, depot in moves.items():
+            self.responders[rid].region = self.world.seg.depot_regions[depot]
+        self.apply_depot_moves(moves)
+        return left | {self.responders[rid].region for rid in moves}
 
     def _check_capacity(self):
         depots = [r.depot for r in self.responders.values()]
@@ -423,10 +414,8 @@ def default_initial_assignment(world: ScenarioWorld, n_responders: int | None = 
     region_ids = sorted(caps)
     if n_responders is None:
         n_responders = len(world.depots)
-    rates0 = np.array([
-        sum(world.rates.rates_at(0.0)[c] for c in world.seg.region_cells[g])
-        for g in region_ids
-    ])
+    rates = world.region_rates(0.0)
+    rates0 = np.array([rates[g] for g in region_ids])
     p = rates0 / rates0.sum() if rates0.sum() > 0 else np.ones(len(region_ids)) / len(region_ids)
     counts = greedy_redistribute(p, n_responders, [caps[g] for g in region_ids])
     assignment: dict[int, int] = {}

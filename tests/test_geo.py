@@ -294,3 +294,16 @@ class TestScenarioRoundTrip:
         assert np.array_equal(loaded.rates.rates, world.rates.rates)
         assert loaded.rate_scale == world.rate_scale
         assert loaded.nearest_hospital(4, 0.0) == world.nearest_hospital(4, 0.0)
+
+
+class TestRegionRates:
+    def test_equals_region_rate_at_every_rate_bucket(self):
+        from ermrl.harness import ScenarioParams, generate_scenario
+        world = generate_scenario(ScenarioParams(n_regions=3), 3)
+        assert world.rates.n_buckets > 1 and world.seg.n_regions == 3
+        dur = world.rates.bucket_duration_s
+        for b in range(world.rates.n_buckets):
+            for t in (b * dur, b * dur + dur / 2):
+                expected = {g: geo.region_rate(world.seg, world.rates, g, t)
+                            for g in world.seg.region_ids}
+                assert world.region_rates(t) == expected

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import json
 from pathlib import Path
@@ -152,6 +153,52 @@ class TestEvaluation:
             harness.write_run_summary(records, out)
             paths.append(out / "run_summary.csv")
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_eval_writes_one_episode_log_per_chain(self, tmp_path):
+        world = two_region_world(rates_by_bucket=[[1.0, 0.5, 0.2, 0.1, 0.4, 0.8]])
+        logs = []
+        for name in ("a", "b"):
+            spec = harness.ExperimentSpec(
+                scenario_path="unused", planner="greedy", out_dir=str(tmp_path / name),
+                eval_seeds=(50, 51), horizon_s=12 * 3600.0, fleet_size=2)
+            records = harness.evaluate_spec(spec, world)
+            logs.append([tmp_path / name / "episodes" / f"chain_{r.chain_seed}.csv"
+                         for r in records])
+            for r, path in zip(records, logs[-1]):
+                with open(path, newline="") as f:
+                    rows = list(csv.DictReader(f))
+                assert r.n_incidents > 0
+                assert sorted(int(row["incident_id"]) for row in rows) == list(range(r.n_incidents))
+                assert all(float(row["response_time_s"]) >= 0 for row in rows)
+        assert [p.read_bytes() for p in logs[0]] == [p.read_bytes() for p in logs[1]]
+
+    def test_noise_sweep_keeps_each_sigma_pair_log(self, tmp_path):
+        world = two_region_world(rates_by_bucket=[[1.0, 0.5, 0.2, 0.1, 0.4, 0.8]])
+        cfg = DdpgConfig()
+        llp_agents = {g: LlpAgent(g, 2, cfg, np.random.default_rng(g)) for g in (0, 1)}
+        harness.save_agents(tmp_path / "ckpt", llp_agents, None, {})
+        spec = harness.ExperimentSpec(scenario_path="unused", planner="drl",
+                                      out_dir=str(tmp_path / "sweep"), eval_seeds=(50,),
+                                      horizon_s=6 * 3600.0, fleet_size=2)
+        rows = harness.noise_sweep(spec, world, tmp_path / "ckpt", [0.0, 0.3])
+        assert len(rows) == 4
+        logs = sorted((tmp_path / "sweep").glob("*/episodes/chain_50.csv"))
+        assert len(logs) == 4
+
+    def test_parallel_eval_matches_serial(self, tmp_path):
+        world = two_region_world(rates_by_bucket=[[1.0, 0.5, 0.2, 0.1, 0.4, 0.8]])
+        for planner in ("static", "greedy", "mcts"):
+            out = {}
+            for workers in (1, 2):
+                spec = harness.ExperimentSpec(
+                    scenario_path="unused", planner=planner,
+                    out_dir=str(tmp_path / f"{planner}{workers}"),
+                    eval_seeds=(50, 51, 52), horizon_s=12 * 3600.0, fleet_size=2,
+                    mcts=MctsConfig(iteration_limit=8, n_samples=2))
+                out[workers] = [(r.chain_seed, r.n_incidents, r.mean_response_s,
+                                 r.decision_count)
+                                for r in harness.evaluate_spec(spec, world, workers=workers)]
+            assert out[2] == out[1]
 
     def test_overlapping_seed_sets_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import chain_of, make_world, uniform_table
+from conftest import chain_of, make_world, two_region_world, uniform_table
 
 from ermrl import geo, sim
 
@@ -229,3 +229,20 @@ class TestReallocation:
                           initial_assignment={0: 0, 1: 1})
         with pytest.raises(sim.SimLogicError):
             s.apply_depot_moves({0: 1})
+
+    def test_region_move_takes_the_depot_region_and_reroutes(self):
+        world = two_region_world()
+        s = sim.Simulator(world, chain_of([], 3600), sim.SimConfig(),
+                          initial_assignment={0: 0, 1: 1})
+        assert s.apply_region_moves({1: 3}) == {0, 1}
+        r = s.responders[1]
+        assert (r.region, r.depot) == (1, 3)
+        assert r.track.destination == world.depots[3].cell
+        assert s.region_counts() == {0: 1, 1: 1}
+
+    def test_region_move_onto_a_held_depot_caught(self):
+        world = two_region_world()
+        s = sim.Simulator(world, chain_of([], 3600), sim.SimConfig(),
+                          initial_assignment={0: 0, 1: 2})
+        with pytest.raises(sim.SimLogicError):
+            s.apply_region_moves({0: 2})
