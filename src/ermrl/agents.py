@@ -13,11 +13,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
 from . import nn
-from .features import RegionObservation, critic_features, critic_features_grad
+from .features import (RegionObservation, actor_features, critic_features,
+                       critic_features_grad, group_by_count)
 from .optim import greedy_redistribute, max_weight_match, normalize_hlp
 
 
@@ -35,10 +38,6 @@ class DdpgConfig:
     eps_decay_episodes: int = 150
     reward_scale_s: float = 600.0
     normalize_hlp_reward: bool = True
-
-    @property
-    def effective_gamma_high(self) -> float:
-        return 0.0 if self.hlp_bandit else self.gamma_high
 
     def explore_eps(self, episode: int) -> float:
         if self.eps_decay_episodes <= 0:
@@ -67,17 +66,44 @@ class ReplayBuffer:
         return iter(self._items)
 
 
+# per-sample gradient floats one actor pass may hold, a bound on peak memory:
+# 64 samples of the city actor's 256 x 64 layer alone would take 8 MB
+_STACK_FLOATS = 1 << 19
+
+
+def _batch_mean(params, parts, n: int):
+    """Batch means of per-sample values and gradient stacks, given as
+    (values, stacks) parts in sample order. Sums run in sample order from
+    zero, as a loop over the transitions adds; np.sum over the sample axis
+    would add pairwise on width-1 parameters and change the bits."""
+    mean = nn.clone(params)
+    for total in mean.arrays():
+        total[...] = 0.0
+    value = 0.0
+    for values, stacks in parts:
+        value = reduce(add, values, value)
+        for total, stack in zip(mean.arrays(), stacks):
+            for g in stack:
+                total += g
+        del stacks  # free this part before the next one is computed
+    for total in mean.arrays():
+        total *= 1.0 / n
+    return float(value) / n, mean
+
+
 class DdpgAgent:
     """Actor, critic, their target copies, Adam states and replay, with the
-    DDPG update both agent levels share.
+    DDPG update both agent levels share. Each network runs once over the
+    batch (see nn) and gives the bits of a loop over its transitions.
 
-    A subclass supplies the critic input for an (observation, action) pair,
-    the target actor's action for a next observation (None when it has
-    nothing to bootstrap from), and the actor gradient for one observation
-    (None to skip it), plus the discount `gamma`."""
+    A subclass supplies, for lists of observations: critic inputs (B, w) for
+    their actions, the target actor's actions (None where there is nothing to
+    bootstrap from), and the actor's Q values and per-sample gradient stacks
+    (leaving out observations it cannot act on)."""
 
-    def __init__(self, actor, critic, cfg: DdpgConfig):
+    def __init__(self, actor, critic, cfg: DdpgConfig, gamma: float):
         self.cfg = cfg
+        self.gamma = gamma
         self.actor = actor
         self.actor_target = nn.clone(actor)
         self.critic = critic
@@ -90,60 +116,62 @@ class DdpgAgent:
     def observe(self, transition) -> None:
         self.buffer.push(transition)
 
-    def q_value(self, obs, action, use_target: bool = False) -> float:
-        net = self.critic_target if use_target else self.critic
-        q, _ = nn.mlp_forward(net, self.critic_input(obs, action)[None, :])
-        return float(q[0, 0])
+    def q_value(self, obs, action) -> float:
+        q, _ = self._critic(self.critic, [obs], [action])
+        return float(q[0, 0, 0])
+
+    def _critic(self, net, observations, actions, train=False, rng=None):
+        """One (B, 1, w) pass; (B, w) @ W would change the bits of (1, w) calls."""
+        x = self.critic_inputs(observations, actions)[:, None, :]
+        return nn.mlp_forward(net, x, train=train, rng=rng)
 
     def train_step(self, rng: np.random.Generator) -> dict | None:
         """One minibatch update of critic then actor, then both targets.
         None until the buffer holds a batch, and for an actor without outputs
         (a one-region city agent has nothing to distribute)."""
         cfg = self.cfg
-        if len(self.buffer) < cfg.batch_size or self.actor.arrays()[-1].size == 0:
+        n = cfg.batch_size
+        if len(self.buffer) < n or self.actor.arrays()[-1].size == 0:
             return None
-        batch = self.buffer.sample(cfg.batch_size, rng)
+        batch = self.buffer.sample(n, rng)
 
-        critic_grads = nn.zeros_like_params(self.critic)
-        critic_loss = 0.0
-        for tr in batch:
-            y = tr.reward
-            next_action = None if tr.terminal else self.target_action(tr.next_obs)
-            if next_action is not None:
-                y += self.gamma * self.q_value(tr.next_obs, next_action, use_target=True)
-            x = self.critic_input(tr.obs, tr.action)[None, :]
-            q, cache = nn.mlp_forward(self.critic, x, train=True, rng=rng)
-            err = float(q[0, 0]) - y
-            critic_loss += err * err
-            _, g = nn.mlp_backward(self.critic, cache, np.array([[2.0 * err]]))
-            nn.accumulate_grads(critic_grads, g)
-        nn.scale_grads(critic_grads, 1.0 / cfg.batch_size)
-        nn.adam_step(self.critic_opt, self.critic, critic_grads, cfg.lr)
+        y = np.array([tr.reward for tr in batch], dtype=float)
+        actions = self.target_actions([tr.next_obs for tr in batch])
+        boot = [k for k, a in enumerate(actions) if a is not None and not batch[k].terminal]
+        if boot:
+            q, _ = self._critic(self.critic_target, [batch[k].next_obs for k in boot],
+                                [actions[k] for k in boot])
+            y[boot] += self.gamma * q[:, 0, 0]
+        q, cache = self._critic(self.critic, [tr.obs for tr in batch],
+                                [tr.action for tr in batch], train=True, rng=rng)
+        err = q[:, 0, 0] - y
+        _, g = nn.mlp_backward(self.critic, cache, 2.0 * err[:, None, None])
+        critic_loss, grads = _batch_mean(self.critic, [(err * err, g.arrays())], n)
+        nn.adam_step(self.critic_opt, self.critic, grads, cfg.lr)
 
-        actor_grads = nn.zeros_like_params(self.actor)
-        mean_q = 0.0
-        for tr in batch:
-            out = self.actor_gradients(tr.obs, train=True, rng=rng)
-            if out is not None:
-                q, grads = out
-                mean_q += q
-                nn.accumulate_grads(actor_grads, grads)
-        nn.scale_grads(actor_grads, 1.0 / cfg.batch_size)
-        nn.adam_step(self.actor_opt, self.actor, actor_grads, cfg.lr)
+        chunks = -(-n * sum(a.size for a in self.actor.arrays()) // _STACK_FLOATS)
+        step = -(-n // chunks)
+        parts = (self.actor_gradients([tr.obs for tr in batch[i:i + step]], train=True, rng=rng)
+                 for i in range(0, n, step))
+        actor_q, grads = _batch_mean(self.actor, parts, n)
+        nn.adam_step(self.actor_opt, self.actor, grads, cfg.lr)
 
         nn.soft_update(self.actor_target, self.actor, cfg.tau)
         nn.soft_update(self.critic_target, self.critic, cfg.tau)
-        return {"critic_loss": critic_loss / cfg.batch_size,
-                "actor_q": mean_q / cfg.batch_size}
+        return {"critic_loss": critic_loss, "actor_q": actor_q,
+                "explore_eps": self.explore_eps, "buffer_size": len(self.buffer)}
 
 
 @dataclass
-class LlpTransition:
-    obs: RegionObservation
-    action: np.ndarray        # executed likelihood matrix (n_responders, n_depots)
+class Transition:
+    obs: RegionObservation | np.ndarray   # region observation, or hlp_observation vector
+    action: np.ndarray   # executed likelihoods (responders, depots), or raw city action
     reward: float
-    next_obs: RegionObservation
+    next_obs: RegionObservation | np.ndarray
     terminal: bool
+
+
+LlpTransition = HlpTransition = Transition
 
 
 class LlpAgent(DdpgAgent):
@@ -161,11 +189,7 @@ class LlpAgent(DdpgAgent):
                              inner_sizes=inner_sizes, inner_dropout=actor_dropout)
         dropouts = [critic_dropout] * len(critic_hidden) + [0.0]
         critic = nn.mlp_init([3 * n_depots, *critic_hidden, 1], rng, dropouts=dropouts)
-        super().__init__(actor, critic, cfg)
-
-    @property
-    def gamma(self) -> float:
-        return self.cfg.gamma
+        super().__init__(actor, critic, cfg, cfg.gamma)
 
     def act(self, obs: RegionObservation, explore: bool,
             rng: np.random.Generator | None = None) -> tuple[np.ndarray, dict[int, int]]:
@@ -187,38 +211,44 @@ class LlpAgent(DdpgAgent):
         assignment = {obs.responder_ids[v]: obs.depot_ids[d] for v, d in matched.items()}
         return probs, assignment
 
-    def critic_input(self, obs: RegionObservation, action: np.ndarray) -> np.ndarray:
-        return critic_features(obs.phi, obs.lam, action)
+    def critic_inputs(self, observations: list[RegionObservation],
+                      actions: list[np.ndarray]) -> np.ndarray:
+        x = np.empty((len(observations), 3 * self.n_depots))
+        for _, members, phi, lam in group_by_count(observations):
+            x[members] = critic_features(phi, lam, np.stack([actions[k] for k in members]))
+        return x
 
-    def target_action(self, obs: RegionObservation) -> np.ndarray | None:
-        if obs.n_responders == 0:
-            return None
-        probs, _ = nn.trxl_forward(self.actor_target, obs.actor_features())
-        return probs
+    def target_actions(self, observations: list[RegionObservation]) -> list:
+        actions = [None] * len(observations)
+        for n, members, phi, lam in group_by_count(observations):
+            if n:
+                probs, _ = nn.trxl_forward(self.actor_target, actor_features(phi, lam))
+                for k, p in zip(members, probs):
+                    actions[k] = p
+        return actions
 
-    def actor_gradients(self, obs: RegionObservation, train: bool = False,
+    def actor_gradients(self, observations: list[RegionObservation], train: bool = False,
                         rng: np.random.Generator | None = None):
-        """Q(s, actor(s)) and the gradients of -Q wrt actor parameters, or
-        None for a region without responders; the critic's value flows back
-        through the occupancy and arrival features."""
-        if obs.n_responders == 0:
-            return None
-        probs, a_cache = nn.trxl_forward(self.actor, obs.actor_features(),
-                                         train=train, rng=rng)
-        q, c_cache = nn.mlp_forward(self.critic, self.critic_input(obs, probs)[None, :])
-        dfeat, _ = nn.mlp_backward(self.critic, c_cache, np.array([[-1.0]]))
-        dprobs = critic_features_grad(obs.phi, probs, dfeat[0])
-        _, grads = nn.trxl_backward(self.actor, a_cache, dprobs)
-        return float(q[0, 0]), grads
-
-
-@dataclass
-class HlpTransition:
-    obs: np.ndarray           # hlp_observation vector
-    action: np.ndarray        # executed raw nonnegative action, length n_regions - 1
-    reward: float
-    next_obs: np.ndarray
-    terminal: bool
+        """Q(s, actor(s)) and the per-sample gradient stacks of -Q wrt the
+        actor parameters over the observations with responders, from one pass
+        per responder count (actor dropout draws in that order); the critic's
+        value flows back through the occupancy and arrival features."""
+        qs, stacks, order = [], [], []
+        for n, members, phi, lam in group_by_count(observations):
+            if not n:
+                continue
+            probs, a_cache = nn.trxl_forward(self.actor, actor_features(phi, lam),
+                                             train=train, rng=rng)
+            q, c_cache = nn.mlp_forward(self.critic, critic_features(phi, lam, probs)[:, None])
+            dfeat, _ = nn.mlp_backward(self.critic, c_cache, np.full(q.shape, -1.0))
+            _, grads = nn.trxl_backward(self.actor, a_cache,
+                                        critic_features_grad(phi, probs, dfeat[:, 0]))
+            qs.append(q[:, 0, 0])
+            stacks.append(grads.arrays())
+            order += members
+        rank = np.argsort(order)
+        return (np.concatenate(qs or [np.zeros(0)])[rank],
+                [np.concatenate(parts)[rank] for parts in zip(*stacks)])
 
 
 class HlpAgent(DdpgAgent):
@@ -236,11 +266,7 @@ class HlpAgent(DdpgAgent):
                             activations=acts, dropouts=drops)
         cdrops = [critic_dropout] * len(critic_hidden) + [0.0]
         critic = nn.mlp_init([in_dim + out_dim, *critic_hidden, 1], rng, dropouts=cdrops)
-        super().__init__(actor, critic, cfg)
-
-    @property
-    def gamma(self) -> float:
-        return self.cfg.effective_gamma_high
+        super().__init__(actor, critic, cfg, 0.0 if cfg.hlp_bandit else cfg.gamma_high)
 
     def act(self, obs: np.ndarray, fleet_size: int, caps: list[int], explore: bool,
             rng: np.random.Generator | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -261,21 +287,24 @@ class HlpAgent(DdpgAgent):
         counts = greedy_redistribute(p, fleet_size, caps)
         return a_h, counts
 
-    def critic_input(self, obs: np.ndarray, action: np.ndarray) -> np.ndarray:
-        return np.concatenate([obs, action])
+    def critic_inputs(self, observations: list[np.ndarray],
+                      actions: list[np.ndarray]) -> np.ndarray:
+        return np.concatenate([np.stack(observations), np.stack(actions)], axis=-1)
 
-    def target_action(self, obs: np.ndarray) -> np.ndarray:
-        a, _ = nn.mlp_forward(self.actor_target, obs[None, :])
-        return a[0]
+    def target_actions(self, observations: list[np.ndarray]) -> list:
+        a, _ = nn.mlp_forward(self.actor_target, np.stack(observations)[:, None, :])
+        return list(a[:, 0])
 
-    def actor_gradients(self, obs: np.ndarray, train: bool = False,
+    def actor_gradients(self, observations: list[np.ndarray], train: bool = False,
                         rng: np.random.Generator | None = None):
-        """Q(s, actor(s)) and the gradients of -Q wrt actor parameters."""
-        a, a_cache = nn.mlp_forward(self.actor, obs[None, :], train=train, rng=rng)
-        q, c_cache = nn.mlp_forward(self.critic, self.critic_input(obs, a[0])[None, :])
-        dx, _ = nn.mlp_backward(self.critic, c_cache, np.array([[-1.0]]))
-        _, grads = nn.mlp_backward(self.actor, a_cache, dx[:, obs.size:])
-        return float(q[0, 0]), grads
+        """Q(s, actor(s)) and the per-sample gradient stacks of -Q wrt the
+        actor parameters."""
+        obs = np.stack(observations)[:, None, :]
+        a, a_cache = nn.mlp_forward(self.actor, obs, train=train, rng=rng)
+        q, c_cache = nn.mlp_forward(self.critic, np.concatenate([obs, a], axis=-1))
+        dx, _ = nn.mlp_backward(self.critic, c_cache, np.full(q.shape, -1.0))
+        _, grads = nn.mlp_backward(self.actor, a_cache, dx[..., obs.shape[-1]:])
+        return q[:, 0, 0], grads.arrays()
 
 
 def hlp_reward(llp_agents: dict[int, LlpAgent],

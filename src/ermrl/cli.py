@@ -64,9 +64,22 @@ def cmd_train(args) -> int:
     curve_file = open(curve_path, "w", newline="")
     curve = csv.writer(curve_file)
     curve.writerow(["phase", "region", "episode", "mean_response_s"])
+    log_file = open(out_dir / "train_log.csv", "w", newline="")
+    log = csv.writer(log_file)
+    stat_names = ["critic_loss", "actor_q", "explore_eps", "buffer_size"]
+    log.writerow(["phase", "region", "update", *stat_names])
+    n_logged: dict = {}
 
-    def llp_curve_hook(region):
-        def hook(episode, agent):
+    def log_updates(phase, region, updates):
+        """One train_log.csv row per update, numbered per agent from 0."""
+        first = n_logged.get((phase, region), 0)
+        for k, stats in enumerate(updates, first):
+            log.writerow([phase, region, k, *(repr(stats[name]) for name in stat_names)])
+        n_logged[phase, region] = first + len(updates)
+
+    def llp_episode_hook(region):
+        def hook(episode, agent, updates):
+            log_updates("llp", region, updates)
             if args.curve_every <= 0 or episode % args.curve_every:
                 return
             mean = _eval_llp(world, agent, region, eval_seeds[0], cfg)
@@ -79,9 +92,10 @@ def cmd_train(args) -> int:
         print(f"training region agent {g} "
               f"({len(world.region_depots(g))} depots, {cfg.episodes_llp} episodes)")
         llp_agents[g] = train_llp_agent(world, g, cfg, train_seeds, args.seed,
-                                        curve_hook=llp_curve_hook(g))
+                                        episode_hook=llp_episode_hook(g))
 
-    def hlp_curve_hook(episode, agent):
+    def hlp_episode_hook(episode, agent, updates):
+        log_updates("hlp", "", updates)
         if args.curve_every <= 0 or episode % args.curve_every:
             return
         mean = _eval_hierarchy(world, llp_agents, agent, eval_seeds[0], cfg)
@@ -91,8 +105,9 @@ def cmd_train(args) -> int:
     if world.seg.n_regions > 1 and args.episodes_hlp > 0:
         print(f"training city agent ({cfg.episodes_hlp} episodes)")
         hlp_agent = train_hlp_agent(world, llp_agents, cfg, train_seeds, args.seed,
-                                    curve_hook=hlp_curve_hook)
+                                    episode_hook=hlp_episode_hook)
     curve_file.close()
+    log_file.close()
     manifest = {
         "ddpg": asdict(ddpg),
         "train": {k: (list(v) if isinstance(v, tuple) else v)
@@ -105,7 +120,7 @@ def cmd_train(args) -> int:
         "final_explore_eps": ddpg.explore_eps(cfg.episodes_llp),
     }
     save_agents(out_dir, llp_agents, hlp_agent, manifest)
-    print(f"checkpoints and learning curves in {out_dir}")
+    print(f"checkpoints, learning curves and the update log in {out_dir}")
     return 0
 
 

@@ -70,12 +70,28 @@ class RegionObservation:
         return len(self.depot_ids)
 
     def actor_features(self) -> np.ndarray:
-        """Per responder, interleaved (arrival time, nearby rate) per depot."""
-        n, d = self.phi.shape
-        out = np.empty((n, 2 * d))
-        out[:, 0::2] = self.phi
-        out[:, 1::2] = np.broadcast_to(self.lam, (n, d))
-        return out
+        return actor_features(self.phi, self.lam)
+
+
+def actor_features(phi: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Per responder, interleaved (arrival time, nearby rate) per depot.
+    Leading batch axes of phi and lam carry through."""
+    out = np.empty((*phi.shape[:-1], 2 * phi.shape[-1]))
+    out[..., 0::2] = phi
+    out[..., 1::2] = lam[..., None, :]
+    return out
+
+
+def group_by_count(observations: list[RegionObservation]) -> list[tuple]:
+    """Per responder count n: the indices of the observations with n
+    responders and their stacked phi (B_n, n, d) and lam (B_n, d), so that
+    each group runs as one dense batch."""
+    groups: dict[int, list[int]] = {}
+    for k, obs in enumerate(observations):
+        groups.setdefault(obs.n_responders, []).append(k)
+    return [(n, members, np.stack([observations[k].phi for k in members]),
+             np.stack([observations[k].lam for k in members]))
+            for n, members in groups.items()]
 
 
 def region_observation(
@@ -101,11 +117,12 @@ def region_observation(
 
 
 def critic_features(phi: np.ndarray, lam: np.ndarray, likelihoods: np.ndarray) -> np.ndarray:
-    """Fixed-size critic input: per depot (occupancy, weighted arrival, rate)."""
-    col_sums = likelihoods.sum(axis=0)
+    """Fixed-size critic input: per depot (occupancy, weighted arrival, rate).
+    Leading batch axes of phi, lam and likelihoods carry through."""
+    col_sums = likelihoods.sum(axis=-2)
     eta = np.clip(col_sums, 0.0, 1.0)
-    beta = (phi * likelihoods).sum(axis=0)
-    return np.column_stack([eta, beta, lam]).ravel()
+    beta = (phi * likelihoods).sum(axis=-2)
+    return np.stack([eta, beta, lam], axis=-1).reshape(*eta.shape[:-1], -1)
 
 
 def critic_features_grad(phi: np.ndarray, likelihoods: np.ndarray,
@@ -114,12 +131,11 @@ def critic_features_grad(phi: np.ndarray, likelihoods: np.ndarray,
 
     The clip on occupancy gates its gradient to the open interval (0, 1);
     the weighted-arrival term contributes phi elementwise."""
-    d = likelihoods.shape[1]
-    dfeat = dfeat.reshape(d, 3)
-    col_sums = likelihoods.sum(axis=0)
+    dfeat = dfeat.reshape(*likelihoods.shape[:-2], likelihoods.shape[-1], 3)
+    col_sums = likelihoods.sum(axis=-2)
     gate = ((col_sums > 0.0) & (col_sums < 1.0)).astype(float)
-    dL = np.broadcast_to(dfeat[:, 0] * gate, likelihoods.shape).copy()
-    dL += dfeat[:, 1] * phi
+    dL = np.broadcast_to((dfeat[..., 0] * gate)[..., None, :], likelihoods.shape).copy()
+    dL += dfeat[..., None, :, 1] * phi
     return dL
 
 

@@ -166,11 +166,14 @@ def resolve_fleet(world: ScenarioWorld, fleet_size: int | None) -> int:
     return max(1, int(round(0.7 * len(world.depots))))
 
 
-def _learn(agent, transition, train: bool, rng: np.random.Generator) -> None:
-    """Store one transition; when training, take one update step."""
+def _learn(agent, transition, train: bool, rng: np.random.Generator,
+           updates: list[dict]) -> None:
+    """Store one transition; when training, take one update step and append
+    its statistics to `updates`."""
     agent.observe(transition)
-    if train:
-        agent.train_step(rng)
+    stats = agent.train_step(rng) if train else None
+    if stats is not None:
+        updates.append(stats)
 
 
 class LlpTrainingController:
@@ -183,6 +186,7 @@ class LlpTrainingController:
         self.rng = rng
         self.train = train
         self.pending = None  # (obs, executed likelihoods)
+        self.updates: list[dict] = []  # train_step statistics, in order
 
     def begin_episode(self, sim: Simulator):
         self.pending = None
@@ -202,7 +206,7 @@ class LlpTrainingController:
         obs = region_observation(sim.responders, self.agent.region, sim.now, self.world)
         if self.pending is not None and reward is not None:
             _learn(self.agent, LlpTransition(*self.pending, reward, obs, False),
-                   self.train, self.rng)
+                   self.train, self.rng, self.updates)
         likelihoods, assignment = self.agent.act(obs, explore=self.train, rng=self.rng)
         sim.apply_depot_moves(assignment)
         self.pending = (obs, likelihoods)
@@ -211,15 +215,18 @@ class LlpTrainingController:
         if self.pending is None:
             return
         obs = region_observation(sim.responders, self.agent.region, sim.now, self.world)
-        _learn(self.agent, LlpTransition(*self.pending, 0.0, obs, True), self.train, self.rng)
+        _learn(self.agent, LlpTransition(*self.pending, 0.0, obs, True), self.train, self.rng,
+               self.updates)
         self.pending = None
 
 
 def train_llp_agent(world: ScenarioWorld, region: int, cfg: TrainConfig,
                     train_seeds: list[int], seed: int,
                     agent: LlpAgent | None = None,
-                    curve_hook=None) -> LlpAgent:
-    """Train one region agent on chains restricted to its own cells."""
+                    episode_hook=None) -> LlpAgent:
+    """Train one region agent on chains restricted to its own cells.
+    episode_hook(episode, agent, updates) follows each episode, with the
+    statistics of the updates it made."""
     ss = np.random.SeedSequence((seed, region))
     init_rng, run_rng = (np.random.default_rng(s) for s in ss.spawn(2))
     depots = world.region_depots(region)
@@ -240,8 +247,8 @@ def train_llp_agent(world: ScenarioWorld, region: int, cfg: TrainConfig,
         agent.explore_eps = cfg.ddpg.explore_eps(episode)
         controller = LlpTrainingController(agent, world, run_rng)
         run_episode(world, chain, controller, sim_cfg, initial_assignment=initial)
-        if curve_hook is not None:
-            curve_hook(episode, agent)
+        if episode_hook is not None:
+            episode_hook(episode, agent, controller.updates)
     return agent
 
 
@@ -260,11 +267,13 @@ class HlpTrainer:
         self.train = train
         self.pending = None  # (obs, a_h, reward)
         self._open = None    # (obs, a_h) of the cycle in progress
+        self.updates: list[dict] = []  # train_step statistics, in order
 
     def plan_counts(self, sim: Simulator, rng) -> dict[int, int]:
         obs = city_observation(sim)
         if self.pending is not None:
-            _learn(self.agent, HlpTransition(*self.pending, obs, False), self.train, self.rng)
+            _learn(self.agent, HlpTransition(*self.pending, obs, False), self.train, self.rng,
+                   self.updates)
             self.pending = None
         a_h, counts = city_decision(self.agent, obs, sim, self.train, self.rng)
         self._open = (obs, a_h)
@@ -296,14 +305,15 @@ class HlpTrainer:
             return
         # the terminal transition repeats its own observation as the next one
         _learn(self.agent, HlpTransition(*self.pending, self.pending[0], True),
-               self.train, self.rng)
+               self.train, self.rng, self.updates)
         self.pending = None
 
 
 def train_hlp_agent(world: ScenarioWorld, llp_agents: dict[int, LlpAgent],
                     cfg: TrainConfig, train_seeds: list[int], seed: int,
-                    agent: HlpAgent | None = None, curve_hook=None) -> HlpAgent:
-    """Train the city agent against frozen region agents."""
+                    agent: HlpAgent | None = None, episode_hook=None) -> HlpAgent:
+    """Train the city agent against frozen region agents; episode_hook as in
+    train_llp_agent."""
     ss = np.random.SeedSequence((seed, 999_983))
     init_rng, run_rng = (np.random.default_rng(s) for s in ss.spawn(2))
     region_ids = world.seg.region_ids
@@ -328,8 +338,8 @@ def train_hlp_agent(world: ScenarioWorld, llp_agents: dict[int, LlpAgent],
         controller.hlp_cycle_hook = trainer.record_cycle
         controller.episode_end_hook = trainer.end_episode
         run_episode(world, chain, controller, sim_cfg, n_responders=fleet)
-        if curve_hook is not None:
-            curve_hook(episode, agent)
+        if episode_hook is not None:
+            episode_hook(episode, agent, trainer.updates)
     return agent
 
 

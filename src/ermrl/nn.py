@@ -5,10 +5,17 @@ an inner MLP, each followed by add-and-layernorm), per-row softmax heads, and
 Adam. Gradients are analytic and checked against central finite differences
 in the test suite. No positional encodings: responder rows form an unordered
 set, so the stack is permutation-equivariant by construction.
+
+Every pass takes an optional leading batch axis: (B, n, k) inputs run as B
+stacked (n, k) samples, and backward passes return per-sample parameter-gradient
+stacks (B, *shape). A stacked matmul runs each sample through the kernel an
+unbatched call uses, so a batch gives the unbatched bits; a flattened
+(B * n, k) product would not (a one-row sample takes the gemv path).
 """
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass
 
@@ -22,29 +29,16 @@ def _glorot(rng: np.random.Generator, d_in: int, d_out: int) -> Array:
     return rng.uniform(-limit, limit, size=(d_in, d_out))
 
 
-def _activate(name: str, z: Array) -> Array:
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "linear":
-        return z
-    if name == "softplus":
-        return np.logaddexp(0.0, z)
-    raise ValueError(f"unknown activation {name}")
-
-
-def _activate_grad(name: str, z: Array) -> Array:
-    if name == "relu":
-        return (z > 0).astype(float)
-    if name == "linear":
-        return np.ones_like(z)
-    if name == "softplus":
-        return 1.0 / (1.0 + np.exp(-z))
-    raise ValueError(f"unknown activation {name}")
+# name -> (activation, its derivative)
+_ACTIVATIONS = {
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0).astype(float)),
+    "linear": (lambda z: z, np.ones_like),
+    "softplus": (lambda z: np.logaddexp(0.0, z), lambda z: 1.0 / (1.0 + np.exp(-z))),
+}
 
 
 def softmax_rows(z: Array) -> Array:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -73,14 +67,6 @@ class MlpParams:
     def arrays(self) -> list[Array]:
         return [a for layer in self.layers for a in layer.arrays()]
 
-    @property
-    def d_in(self) -> int:
-        return self.layers[0].w.shape[0]
-
-    @property
-    def d_out(self) -> int:
-        return self.layers[-1].w.shape[1]
-
 
 def mlp_init(sizes: list[int], rng: np.random.Generator,
              activations: list[str] | None = None,
@@ -96,20 +82,31 @@ def mlp_init(sizes: list[int], rng: np.random.Generator,
     return MlpParams(layers)
 
 
+def _t(x: Array) -> Array:
+    """Transpose of each sample's matrix."""
+    return np.swapaxes(x, -1, -2)
+
+
 def mlp_forward(p: MlpParams, x: Array, train: bool = False,
                 rng: np.random.Generator | None = None) -> tuple[Array, list]:
+    """Dropout masks come from one draw, sample by sample and within a sample
+    layer by layer: the stream B unbatched calls consume in turn."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    cache = []
-    h = x
-    for layer in p.layers:
+    *lead, n = x.shape[:-1]
+    widths = [layer.w.shape[1] if train and layer.dropout > 0.0 else 0 for layer in p.layers]
+    if any(widths) and rng is None:
+        raise ValueError("dropout in training mode needs an explicit rng")
+    u = rng.random((int(np.prod(lead)), n * sum(widths))) if any(widths) else None
+    cache, h, start = [], x, 0
+    for layer, w in zip(p.layers, widths):
         pre = h @ layer.w + layer.b
-        act = _activate(layer.activation, pre)
+        act = _ACTIVATIONS[layer.activation][0](pre)
         mask = None
-        if train and layer.dropout > 0.0:
-            if rng is None:
-                raise ValueError("dropout in training mode needs an explicit rng")
-            mask = (rng.random(act.shape) >= layer.dropout) / (1.0 - layer.dropout)
+        if w:
+            draw = u[:, start:start + n * w].reshape(*lead, n, w)
+            mask = (draw >= layer.dropout) / (1.0 - layer.dropout)
             act = act * mask
+            start += n * w
         cache.append((h, pre, mask))
         h = act
     return h, cache
@@ -121,8 +118,12 @@ def mlp_backward(p: MlpParams, cache: list, dy: Array) -> tuple[Array, MlpParams
     for layer, (h_in, pre, mask) in zip(reversed(p.layers), reversed(cache)):
         if mask is not None:
             dh = dh * mask
-        dz = dh * _activate_grad(layer.activation, pre)
-        grads.append(DenseLayer(h_in.T @ dz, dz.sum(axis=0), layer.activation, layer.dropout))
+        dz = dh * _ACTIVATIONS[layer.activation][1](pre)
+        # a one-row sample's weight gradient is an outer product, one multiply
+        # per entry; einsum forms it faster than matmul's column-times-row loop
+        gw = (np.einsum("...ri,...rj->...ij", h_in, dz) if h_in.shape[-2] == 1
+              else _t(h_in) @ dz)
+        grads.append(DenseLayer(gw, dz.sum(axis=-2), layer.activation, layer.dropout))
         dh = dz @ layer.w.T
     return dh, MlpParams(grads[::-1])
 
@@ -159,7 +160,7 @@ def norm_backward(p: NormParams, cache: tuple, dy: Array) -> tuple[Array, NormPa
     mean_d = dxhat.mean(axis=-1, keepdims=True)
     mean_dx = (dxhat * xhat).mean(axis=-1, keepdims=True)
     dx = inv * (dxhat - mean_d - xhat * mean_dx)
-    return dx, NormParams((dy * xhat).sum(axis=0), dy.sum(axis=0))
+    return dx, NormParams((dy * xhat).sum(axis=-2), dy.sum(axis=-2))
 
 
 # --- multi-head attention -----------------------------------------------------
@@ -179,31 +180,22 @@ class MhaParams:
     def arrays(self) -> list[Array]:
         return [self.wq, self.bq, self.wk, self.bk, self.wv, self.bv, self.wo, self.bo]
 
-    @property
-    def width(self) -> int:
-        return self.wq.shape[0]
-
 
 def mha_init(width: int, n_heads: int, rng: np.random.Generator) -> MhaParams:
     if n_heads < 1 or width % n_heads != 0:
         raise ValueError("model width must be a positive multiple of the head count")
-    return MhaParams(
-        _glorot(rng, width, width), np.zeros(width),
-        _glorot(rng, width, width), np.zeros(width),
-        _glorot(rng, width, width), np.zeros(width),
-        _glorot(rng, width, width), np.zeros(width),
-        n_heads,
-    )
+    return MhaParams(*(a for _ in "qkvo" for a in (_glorot(rng, width, width), np.zeros(width))),
+                     n_heads)
 
 
 def _split_heads(x: Array, h: int) -> Array:
-    n, m = x.shape
-    return x.reshape(n, h, m // h).transpose(1, 0, 2)  # (h, n, d)
+    *lead, n, m = x.shape
+    return np.swapaxes(x.reshape(*lead, n, h, m // h), -3, -2)  # (..., h, n, d)
 
 
 def _merge_heads(x: Array) -> Array:
-    h, n, d = x.shape
-    return x.transpose(1, 0, 2).reshape(n, h * d)
+    *lead, h, n, d = x.shape
+    return np.swapaxes(x, -3, -2).reshape(*lead, n, h * d)
 
 
 def mha_forward(p: MhaParams, x: Array) -> tuple[Array, tuple]:
@@ -212,9 +204,9 @@ def mha_forward(p: MhaParams, x: Array) -> tuple[Array, tuple]:
     k = _split_heads(x @ p.wk + p.bk, h)
     v = _split_heads(x @ p.wv + p.bv, h)
     scale = 1.0 / np.sqrt(q.shape[-1])
-    scores = (q @ k.transpose(0, 2, 1)) * scale
+    scores = (q @ _t(k)) * scale
     attn = softmax_rows(scores)
-    heads = attn @ v                      # (h, n, d)
+    heads = attn @ v                      # (..., h, n, d)
     merged = _merge_heads(heads)
     y = merged @ p.wo + p.bo
     return y, (x, q, k, v, attn, merged, scale)
@@ -224,15 +216,15 @@ def mha_backward(p: MhaParams, cache: tuple, dy: Array) -> tuple[Array, MhaParam
     x, q, k, v, attn, merged, scale = cache
     h = p.n_heads
     dheads = _split_heads(dy @ p.wo.T, h)
-    dattn = dheads @ v.transpose(0, 2, 1)
-    dv = attn.transpose(0, 2, 1) @ dheads
+    dattn = dheads @ _t(v)
+    dv = _t(attn) @ dheads
     dscores = softmax_rows_backward(attn, dattn)
     dq = (dscores @ k) * scale
-    dk = (dscores.transpose(0, 2, 1) @ q) * scale
+    dk = (_t(dscores) @ q) * scale
     flats = [_merge_heads(d) for d in (dq, dk, dv)]
     dx = sum(f @ w.T for f, w in zip(flats, (p.wq, p.wk, p.wv)))
-    grads = MhaParams(*(g for f in flats for g in (x.T @ f, f.sum(axis=0))),
-                      merged.T @ dy, dy.sum(axis=0), n_heads=h)
+    grads = MhaParams(*(g for f in flats for g in (_t(x) @ f, f.sum(axis=-2))),
+                      _t(merged) @ dy, dy.sum(axis=-2), n_heads=h)
     return dx, grads
 
 
@@ -259,10 +251,8 @@ class TrxlParams:
     out_proj: DenseLayer
 
     def arrays(self) -> list[Array]:
-        out = self.in_proj.arrays()
-        for layer in self.layers:
-            out += layer.arrays()
-        return out + self.out_proj.arrays()
+        return (self.in_proj.arrays() + [a for layer in self.layers for a in layer.arrays()]
+                + self.out_proj.arrays())
 
     @property
     def feat_dim(self) -> int:
@@ -292,12 +282,14 @@ def trxl_init(feat_dim: int, n_outputs: int, rng: np.random.Generator,
 
 def trxl_forward(p: TrxlParams, x: Array, train: bool = False,
                  rng: np.random.Generator | None = None) -> tuple[Array, dict]:
-    """Rows are responders, outputs are per-row depot likelihoods summing to 1."""
+    """Rows are responders, outputs are per-row depot likelihoods summing to 1.
+    A batch (B, n, features) holds one responder count; with inner dropout in
+    several layers, its masks are drawn layer by layer, not sample by sample."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 1:
+    if x.ndim not in (2, 3) or x.shape[-2] < 1:
         raise ValueError("input must be a nonempty (responders, features) matrix")
-    if x.shape[1] != p.feat_dim:
-        raise ValueError(f"expected feature width {p.feat_dim}, got {x.shape[1]}")
+    if x.shape[-1] != p.feat_dim:
+        raise ValueError(f"expected feature width {p.feat_dim}, got {x.shape[-1]}")
     cache: dict = {"x": x, "layers": []}
     h = x @ p.in_proj.w + p.in_proj.b
     for layer in p.layers:
@@ -316,7 +308,7 @@ def trxl_forward(p: TrxlParams, x: Array, train: bool = False,
 
 def trxl_backward(p: TrxlParams, cache: dict, dprobs: Array) -> tuple[Array, TrxlParams]:
     dlogits = softmax_rows_backward(cache["probs"], np.asarray(dprobs, dtype=float))
-    out_proj = DenseLayer(cache["pre_out"].T @ dlogits, dlogits.sum(axis=0))
+    out_proj = DenseLayer(_t(cache["pre_out"]) @ dlogits, dlogits.sum(axis=-2))
     dh = dlogits @ p.out_proj.w.T
     layers = []
     for layer, (mha_cache, n1_cache, mlp_cache, n2_cache) in zip(reversed(p.layers),
@@ -327,7 +319,7 @@ def trxl_backward(p: TrxlParams, cache: dict, dprobs: Array) -> tuple[Array, Trx
         dmha_in, g_mha = mha_backward(layer.mha, mha_cache, dsum1)
         dh = dsum1 + dmha_in
         layers.append(TrxlLayer(g_mha, g_norm_mha, g_mlp, g_norm_mlp))
-    in_proj = DenseLayer(cache["x"].T @ dh, dh.sum(axis=0))
+    in_proj = DenseLayer(_t(cache["x"]) @ dh, dh.sum(axis=-2))
     return dh @ p.in_proj.w.T, TrxlParams(in_proj, layers[::-1], out_proj)
 
 
@@ -359,7 +351,6 @@ def adam_step(state: AdamState, params, grads, lr: float):
         state.m[i] = b1 * state.m[i] + (1 - b1) * g
         state.v[i] = b2 * state.v[i] + (1 - b2) * g * g
         a -= lr * (state.m[i] / c1) / (np.sqrt(state.v[i] / c2) + state.eps)
-    return params
 
 
 def soft_update(target, online, tau: float):
@@ -371,27 +362,7 @@ def soft_update(target, online, tau: float):
 
 def clone(params):
     """Deep copy of a parameter container (targets start as exact copies)."""
-    import copy
     return copy.deepcopy(params)
-
-
-def zeros_like_params(params):
-    g = clone(params)
-    for a in g.arrays():
-        a[...] = 0.0
-    return g
-
-
-def scale_grads(grads, factor: float):
-    for a in grads.arrays():
-        a *= factor
-    return grads
-
-
-def accumulate_grads(total, grads):
-    for t_arr, g_arr in zip(total.arrays(), grads.arrays()):
-        t_arr += g_arr
-    return total
 
 
 # --- checkpoints ------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -145,9 +147,9 @@ class TestLlpTraining:
             q, _ = nn.mlp_forward(agent.critic, feats[None, :])
             return -float(q[0, 0])
 
-        _, grads = agent.actor_gradients(obs)
+        _, grads = agent.actor_gradients([obs])
         eps = 1e-5
-        for a, g in zip(agent.actor.arrays(), grads.arrays()):
+        for a, g in zip(agent.actor.arrays(), grads):
             flat, gflat = a.ravel(), g.ravel()
             for idx in range(flat.size):
                 old = flat[idx]
@@ -314,3 +316,170 @@ class TestFleetSampling:
         for _ in range(200):
             v = agents.sample_hlp_fleet(26, 36, rng)
             assert 23 <= v <= 29
+
+
+# --- the batched update against the per-transition loop it replaces ----------------
+
+def _zero_grads(params):
+    grads = nn.clone(params)
+    for a in grads.arrays():
+        a[...] = 0.0
+    return grads
+
+
+def _llp_sample_grads(agent, obs, rng):
+    """Q and actor gradients of one region observation, unbatched."""
+    probs, a_cache = nn.trxl_forward(agent.actor, obs.actor_features(), train=True, rng=rng)
+    x = features.critic_features(obs.phi, obs.lam, probs)[None, :]
+    q, c_cache = nn.mlp_forward(agent.critic, x)
+    dfeat, _ = nn.mlp_backward(agent.critic, c_cache, np.array([[-1.0]]))
+    dprobs = features.critic_features_grad(obs.phi, probs, dfeat[0])
+    return float(q[0, 0]), nn.trxl_backward(agent.actor, a_cache, dprobs)[1]
+
+
+def _hlp_sample_grads(agent, obs, rng):
+    """Q and actor gradients of one city observation, unbatched."""
+    a, a_cache = nn.mlp_forward(agent.actor, obs[None, :], train=True, rng=rng)
+    q, c_cache = nn.mlp_forward(agent.critic, np.concatenate([obs, a[0]])[None, :])
+    dx, _ = nn.mlp_backward(agent.critic, c_cache, np.array([[-1.0]]))
+    return float(q[0, 0]), nn.mlp_backward(agent.actor, a_cache, dx[:, obs.size:])[1]
+
+
+def reference_train_step(agent, rng):
+    """The DDPG update as a loop over the sampled transitions, one unbatched
+    network call per transition, summing gradients in sample order."""
+    cfg = agent.cfg
+    llp = isinstance(agent, agents.LlpAgent)
+
+    def critic_input(obs, action):
+        if llp:
+            return features.critic_features(obs.phi, obs.lam, action)
+        return np.concatenate([obs, action])
+
+    def target_action(obs):
+        if llp:
+            if obs.n_responders == 0:
+                return None
+            return nn.trxl_forward(agent.actor_target, obs.actor_features())[0]
+        return nn.mlp_forward(agent.actor_target, obs[None, :])[0][0]
+
+    batch = agent.buffer.sample(cfg.batch_size, rng)
+    critic_grads = _zero_grads(agent.critic)
+    critic_loss = 0.0
+    for tr in batch:
+        y = tr.reward
+        next_action = None if tr.terminal else target_action(tr.next_obs)
+        if next_action is not None:
+            q, _ = nn.mlp_forward(agent.critic_target,
+                                  critic_input(tr.next_obs, next_action)[None, :])
+            y += agent.gamma * float(q[0, 0])
+        q, cache = nn.mlp_forward(agent.critic, critic_input(tr.obs, tr.action)[None, :],
+                                  train=True, rng=rng)
+        err = float(q[0, 0]) - y
+        critic_loss += err * err
+        _, g = nn.mlp_backward(agent.critic, cache, np.array([[2.0 * err]]))
+        for total, a in zip(critic_grads.arrays(), g.arrays()):
+            total += a
+    for total in critic_grads.arrays():
+        total *= 1.0 / cfg.batch_size
+    nn.adam_step(agent.critic_opt, agent.critic, critic_grads, cfg.lr)
+
+    actor_grads = _zero_grads(agent.actor)
+    actor_q = 0.0
+    for tr in batch:
+        if llp and tr.obs.n_responders == 0:
+            continue
+        q, g = (_llp_sample_grads if llp else _hlp_sample_grads)(agent, tr.obs, rng)
+        actor_q += q
+        for total, a in zip(actor_grads.arrays(), g.arrays()):
+            total += a
+    for total in actor_grads.arrays():
+        total *= 1.0 / cfg.batch_size
+    nn.adam_step(agent.actor_opt, agent.actor, actor_grads, cfg.lr)
+    nn.soft_update(agent.actor_target, agent.actor, cfg.tau)
+    nn.soft_update(agent.critic_target, agent.critic, cfg.tau)
+    return {"critic_loss": critic_loss / cfg.batch_size, "actor_q": actor_q / cfg.batch_size}
+
+
+def _random_region_obs(rng, n_depots, n_responders):
+    return make_obs(rng.uniform(0.0, 1.5, size=(n_responders, n_depots)),
+                    rng.uniform(0.0, 1.0, size=n_depots))
+
+
+def _llp_agent_with_buffer(seed, n_counts, actor_dropout=0.0):
+    """A region agent whose buffer mixes every responder count in n_counts,
+    terminal transitions and empty next regions."""
+    rng = np.random.default_rng(seed)
+    d = 3
+    agent = agents.LlpAgent(0, d, small_cfg(batch_size=12), rng, inner_sizes=(8,),
+                            actor_dropout=actor_dropout, critic_hidden=(16,))
+    for _ in range(30):
+        obs = _random_region_obs(rng, d, int(rng.choice(n_counts)))
+        action = rng.dirichlet(np.ones(d), size=obs.n_responders)
+        next_obs = _random_region_obs(rng, d, int(rng.integers(0, d + 1)))
+        agent.observe(agents.LlpTransition(obs, action, float(rng.normal()), next_obs,
+                                           bool(rng.random() < 0.25)))
+    return agent
+
+
+def _hlp_agent_with_buffer(seed):
+    rng = np.random.default_rng(seed)
+    agent = agents.HlpAgent(3, small_cfg(batch_size=12), rng, actor_hidden=(16, 8),
+                            critic_hidden=(8,))
+    for _ in range(30):
+        obs, next_obs = rng.uniform(0.0, 1.0, size=(2, 6))
+        agent.observe(agents.HlpTransition(obs, rng.uniform(0.1, 2.0, size=2),
+                                           float(rng.normal()), next_obs,
+                                           bool(rng.random() < 0.25)))
+    return agent
+
+
+def _assert_same_learner(a, b):
+    for net in ("actor", "actor_target", "critic", "critic_target"):
+        for x, y in zip(getattr(a, net).arrays(), getattr(b, net).arrays()):
+            assert np.array_equal(x, y), net
+    for opt in ("actor_opt", "critic_opt"):
+        sa, sb = getattr(a, opt), getattr(b, opt)
+        assert sa.t == sb.t
+        for x, y in zip(sa.m + sa.v, sb.m + sb.v):
+            assert np.array_equal(x, y), opt
+
+
+def _compare_with_reference(agent, steps=3):
+    ref = copy.deepcopy(agent)
+    rng, ref_rng = np.random.default_rng(99), np.random.default_rng(99)
+    for _ in range(steps):
+        stats = agent.train_step(rng)
+        ref_stats = reference_train_step(ref, ref_rng)
+        assert stats["critic_loss"] == ref_stats["critic_loss"]
+        assert stats["actor_q"] == ref_stats["actor_q"]
+        assert stats["explore_eps"] == agent.explore_eps
+        assert stats["buffer_size"] == len(agent.buffer)
+    _assert_same_learner(agent, ref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestBatchedUpdate:
+    def test_llp_matches_the_per_transition_loop(self):
+        _compare_with_reference(_llp_agent_with_buffer(30, n_counts=range(0, 4)))
+
+    @pytest.mark.parametrize("budget", [1 << 19, 1])
+    def test_hlp_matches_the_per_transition_loop(self, monkeypatch, budget):
+        # budget 1 runs the actor pass one sample at a time
+        monkeypatch.setattr(agents, "_STACK_FLOATS", budget)
+        _compare_with_reference(_hlp_agent_with_buffer(31))
+
+    def test_llp_actor_dropout_of_one_responder_count_matches(self):
+        # with actor dropout, masks are drawn per responder-count group; a
+        # batch of one count draws them in sample order
+        _compare_with_reference(_llp_agent_with_buffer(32, n_counts=[2], actor_dropout=0.2))
+
+    def test_llp_actor_dropout_of_mixed_counts_draws_the_same_stream(self):
+        agent = _llp_agent_with_buffer(33, n_counts=range(1, 4), actor_dropout=0.2)
+        ref = copy.deepcopy(agent)
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        agent.train_step(rng)
+        reference_train_step(ref, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        for x, y in zip(agent.critic.arrays(), ref.critic.arrays()):
+            assert np.array_equal(x, y)

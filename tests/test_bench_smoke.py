@@ -1,5 +1,5 @@
-"""Smoke test of the benchmark command: one short metro-drl run passes its
-output checks. No timing is asserted."""
+"""Smoke tests of the benchmark command: one short run of a workload passes
+its output checks. No timing is asserted."""
 
 import json
 import subprocess
@@ -9,12 +9,22 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_metro_drl_run_passes_its_checks():
+def run_passes_its_checks(workload):
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "metro-drl", "--seed", "0",
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "0",
          "--seconds", "1", "--trace", "0"],
         cwd=ROOT, stdout=subprocess.PIPE, text=True, timeout=600, check=True)
     last = json.loads(proc.stdout.strip().splitlines()[-1])
     assert last["correct"] is True
     assert last["failed"] == 0
     assert last["attempted"] > 0
+
+
+def test_metro_drl_run_passes_its_checks():
+    run_passes_its_checks("metro-drl")
+
+
+def test_city_train_run_passes_its_checks():
+    # the training write path: update counts, finite losses and parameters,
+    # and equal fingerprints across rounds
+    run_passes_its_checks("city-train")

@@ -1,6 +1,11 @@
+import csv
+import functools
 import json
+import math
 from pathlib import Path
 
+from ermrl import cli
+from ermrl.agents import DdpgConfig
 from ermrl.cli import main
 
 
@@ -64,3 +69,32 @@ def test_exit_codes(tmp_path):
     assert main(["generate", "--out", str(tmp_path / "x.json"), "--seed", "0",
                  "--nx", "2", "--ny", "2", "--depots", "9", "--hospitals", "1",
                  "--regions", "1"]) == 2
+
+
+def test_train_logs_one_row_per_update(tmp_path, monkeypatch):
+    # a batch of 8 lets a short run update both agent levels
+    monkeypatch.setattr(cli, "DdpgConfig", functools.partial(DdpgConfig, batch_size=8))
+    scenario = tmp_path / "scenario.json"
+    assert main(["generate", "--out", str(scenario), "--seed", "3",
+                 "--nx", "4", "--ny", "4", "--depots", "5", "--hospitals", "1",
+                 "--regions", "2", "--rate", "4.0"]) == 0
+    out = tmp_path / "ckpt"
+    assert main(["train", "--scenario", str(scenario), "--out-dir", str(out),
+                 "--seed", "1", "--episodes-llp", "3", "--episodes-hlp", "3",
+                 "--horizon-days", "2", "--fleet", "3", "--train-seeds", "0:2",
+                 "--eval-seeds", "50:51", "--curve-every", "0"]) == 0
+    with open(out / "train_log.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert list(rows[0]) == ["phase", "region", "update", "critic_loss", "actor_q",
+                             "explore_eps", "buffer_size"]
+    agents_seen = {(r["phase"], r["region"]) for r in rows}
+    assert agents_seen == {("llp", "0"), ("llp", "1"), ("hlp", "")}
+    for key in agents_seen:
+        mine = [r for r in rows if (r["phase"], r["region"]) == key]
+        assert [int(r["update"]) for r in mine] == list(range(len(mine)))
+        sizes = [int(r["buffer_size"]) for r in mine]
+        assert sizes[0] >= 8 and sizes == sorted(sizes)
+        eps = [float(r["explore_eps"]) for r in mine]
+        assert eps == sorted(eps, reverse=True) and 0.0 < eps[-1] <= 0.3
+        assert all(math.isfinite(float(r[k])) for r in mine for k in ("critic_loss", "actor_q"))
+        assert all(float(r["critic_loss"]) >= 0.0 for r in mine)

@@ -216,7 +216,10 @@ class TestAdam:
         p = nn.mlp_init([2, 3, 1], rng)
         before = [a.copy() for a in p.arrays()]
         state = nn.adam_init(p)
-        nn.adam_step(state, p, nn.zeros_like_params(p), lr=1e-3)
+        zeros = nn.clone(p)
+        for a in zeros.arrays():
+            a[...] = 0.0
+        nn.adam_step(state, p, zeros, lr=1e-3)
         assert state.t == 1
         for a, b in zip(p.arrays(), before):
             assert np.array_equal(a, b)
@@ -280,3 +283,52 @@ class TestCheckpoint:
             assert np.array_equal(a, b)
         assert loaded["critic"].layers[0].dropout == 0.1
         assert loaded["actor"].layers[0].mha.n_heads == 2
+
+
+class TestBatchAxis:
+    """A (B, n, k) batch gives, bit for bit, what B unbatched calls give in
+    turn: outputs, input gradients, per-sample parameter-gradient stacks and
+    the dropout draws."""
+
+    @staticmethod
+    def assert_stacks_equal(stacked, singles):
+        for b, single in enumerate(singles):
+            for s, a in zip(stacked.arrays(), single.arrays()):
+                assert s.shape[1:] == a.shape
+                assert np.array_equal(s[b], a)
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_mlp(self, rows):
+        rng = np.random.default_rng(17)
+        p = nn.mlp_init([5, 7, 6, 2], rng, activations=["relu", "relu", "softplus"],
+                        dropouts=[0.3, 0.2, 0.0])
+        x = rng.normal(size=(3, rows, 5))
+        dy = rng.normal(size=(3, rows, 2))
+        y, cache = nn.mlp_forward(p, x, train=True, rng=np.random.default_rng(4))
+        dx, grads = nn.mlp_backward(p, cache, dy)
+        one_rng = np.random.default_rng(4)
+        singles = []
+        for b in range(3):
+            y_b, cache_b = nn.mlp_forward(p, x[b], train=True, rng=one_rng)
+            dx_b, g_b = nn.mlp_backward(p, cache_b, dy[b])
+            assert np.array_equal(y[b], y_b) and np.array_equal(dx[b], dx_b)
+            singles.append(g_b)
+        self.assert_stacks_equal(grads, singles)
+
+    @pytest.mark.parametrize("n_layers, dropout", [(2, 0.0), (1, 0.25)])
+    def test_trxl(self, n_layers, dropout):
+        rng = np.random.default_rng(18)
+        p = nn.trxl_init(6, 3, rng, n_heads=2, n_layers=n_layers, inner_sizes=(5,),
+                         inner_dropout=dropout)
+        x = rng.normal(size=(3, 4, 6))
+        dprobs = rng.normal(size=(3, 4, 3))
+        probs, cache = nn.trxl_forward(p, x, train=True, rng=np.random.default_rng(6))
+        dx, grads = nn.trxl_backward(p, cache, dprobs)
+        one_rng = np.random.default_rng(6)
+        singles = []
+        for b in range(3):
+            probs_b, cache_b = nn.trxl_forward(p, x[b], train=True, rng=one_rng)
+            dx_b, g_b = nn.trxl_backward(p, cache_b, dprobs[b])
+            assert np.array_equal(probs[b], probs_b) and np.array_equal(dx[b], dx_b)
+            singles.append(g_b)
+        self.assert_stacks_equal(grads, singles)
