@@ -270,7 +270,7 @@ def _match_to_depots(sim: Simulator, member_ids: list[int],
         [arrival_time(sim.responders[rid], d, sim.now, sim.world) for d in chosen]
         for rid in member_ids
     ])
-    assign = _hungarian_min(costs)[0]
+    assign = _hungarian_min(costs)
     return {rid: chosen[int(j)] for rid, j in zip(member_ids, assign)}
 
 

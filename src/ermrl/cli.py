@@ -28,11 +28,15 @@ class ConfigError(ValueError):
 
 
 def _parse_seed_range(text: str) -> tuple[int, ...]:
-    """Accepts 'a:b' half-open ranges or comma lists."""
+    """Accepts 'a:b' half-open ranges or comma lists; an empty set is an error."""
     if ":" in text:
         a, b = text.split(":")
-        return tuple(range(int(a), int(b)))
-    return tuple(int(x) for x in text.split(",") if x)
+        seeds = tuple(range(int(a), int(b)))
+    else:
+        seeds = tuple(int(x) for x in text.split(",") if x)
+    if not seeds:
+        raise ConfigError(f"seed range {text!r} is empty")
+    return seeds
 
 
 def cmd_generate(args) -> int:

@@ -3,10 +3,8 @@
 Maps actor outputs to feasible allocations: max-weight matching for
 within-region depot assignment, greedy remainder-and-cap redistribution for
 region counts, and one assignment solve for moving responders between
-regions. Both assignments use the same Hungarian solver; matching takes one
-solve and uses its dual potentials to re-solve only near-tied candidates when
-it picks the lexicographically smallest maximizer. Matching and
-redistribution break ties by lowest id; all solvers are pure functions.
+regions. Both assignments are one solve of one deterministic Hungarian solver;
+only redistribution breaks ties by lowest id. All solvers are pure functions.
 """
 
 from __future__ import annotations
@@ -20,46 +18,48 @@ class InfeasibleError(ValueError):
     """The requested allocation cannot be satisfied."""
 
 
-def _hungarian_min(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _hungarian_min(cost: np.ndarray) -> list[int]:
     """Min-sum assignment on a rectangular matrix (rows <= cols).
 
-    Augmenting-path algorithm with dual potentials, O(n^2 m). Returns the
-    assigned column index per row and the potentials u (per row) and v (per
-    column): u[i] + v[j] <= cost[i, j] everywhere, with equality on assigned
-    pairs, and v is 0 on unassigned columns. Among equal-cost assignments the
-    one returned is unspecified; max_weight_match owns the tie rule.
+    Augmenting-path algorithm with dual potentials (Kuhn 1955), O(n^2 m), over
+    Python lists: on matrices of a few dozen entries, per-phase numpy calls
+    cost more than the arithmetic. Returns the assigned column per row; which
+    equal-cost optimum it returns is unspecified but fixed for a given input.
     """
     n, m = cost.shape
     if n > m:
         raise InfeasibleError("more rows than columns in assignment")
-    if n == 0:
-        return np.zeros(0, dtype=int), np.zeros(0), np.zeros(m)
+    c = cost.tolist()
     INF = float("inf")
-    u = np.zeros(n)
-    v = np.zeros(m + 1)
-    col_row = np.full(m + 1, -1, dtype=int)  # row matched to column; m is virtual
+    u = [0.0] * n
+    v = [0.0] * m
+    col_row = [-1] * (m + 1)  # row matched to column; m is virtual
     for i in range(n):
         col_row[m] = i
         j0 = m
-        minv = np.full(m, INF)
-        way = np.full(m, m, dtype=int)
-        used = np.zeros(m + 1, dtype=bool)
+        minv = [INF] * m
+        way = [m] * m
+        used = [False] * (m + 1)
         while True:
             used[j0] = True
             i0 = col_row[j0]
-            free = np.flatnonzero(~used[:m])
-            reduced = cost[i0, free] - u[i0] - v[free]
-            better = reduced < minv[free]
-            minv[free[better]] = reduced[better]
-            way[free[better]] = j0
-            j1 = int(free[np.argmin(minv[free])])
-            delta = minv[j1]
-            mask = used[:m]
-            u[col_row[:m][mask]] += delta
-            u[col_row[m]] += delta if used[m] else 0.0
-            v[:m][mask] -= delta
-            v[m] -= delta
-            minv[~mask] -= delta
+            row, u0 = c[i0], u[i0]
+            delta, j1 = INF, m
+            for j in range(m):
+                if not used[j]:
+                    reduced = row[j] - u0 - v[j]
+                    if reduced < minv[j]:
+                        minv[j] = reduced
+                        way[j] = j0
+                    if minv[j] < delta:
+                        delta, j1 = minv[j], j
+            for j in range(m):
+                if used[j]:
+                    u[col_row[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            u[i] += delta
             j0 = j1
             if col_row[j0] == -1:
                 break
@@ -67,54 +67,22 @@ def _hungarian_min(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
             j1 = way[j0]
             col_row[j0] = col_row[j1]
             j0 = j1
-    assign = np.full(n, -1, dtype=int)
-    for j in range(m):
-        if col_row[j] >= 0:
-            assign[col_row[j]] = j
-    return assign, u, v[:m]
+    col_of = {r: j for j, r in enumerate(col_row[:m]) if r >= 0}
+    return [col_of[i] for i in range(n)]
 
 
 def max_weight_match(L: np.ndarray) -> dict[int, int]:
     """Assignment maximizing the summed likelihood, one depot per responder.
 
-    Each row gets exactly one column, each column at most one row. Among
-    maximizers (within 1e-9), the result is the lexicographically smallest
-    column vector in row order.
-
-    One Hungarian solve gives an optimal assignment and its duals. Row by row,
-    the refinement keeps the current assignment's column unless a free column
-    to its left also completes to a maximizer. By complementary slackness
-    (Kuhn 1955), any assignment using (i, j) is worth at most best - rc[i, j]
-    for the reduced cost rc, so a column with rc above twice the tolerance
-    cannot; only near-tight columns get their completion re-solved, and an
-    accepted completion becomes the current assignment.
+    Each row gets exactly one column, each column at most one row. One
+    Hungarian solve on -L; among equal-value maximizers the result is the one
+    that deterministic solver returns.
     """
     L = np.asarray(L, dtype=float)
     n, m = L.shape
     if n > m:
         raise InfeasibleError(f"{n} responders but only {m} depots")
-    if n == 0:
-        return {}
-    tol = 1e-9
-    assign, u, v = _hungarian_min(-L)
-    best = float(L[np.arange(n), assign].sum())
-    rc = -L - u[:, None] - v[None, :]
-    current = assign.tolist()
-    free = np.ones(m, dtype=bool)
-    fixed_value = 0.0
-    for i in range(n):
-        rest_rows = list(range(i + 1, n))
-        for j in np.flatnonzero(free[:current[i]] & (rc[i, :current[i]] <= 2 * tol)):
-            rest_cols = [c for c in np.flatnonzero(free) if c != j]
-            sub = L[np.ix_(rest_rows, rest_cols)]
-            rest = _hungarian_min(-sub)[0]
-            value = fixed_value + L[i, j] + float(sub[np.arange(len(rest_rows)), rest].sum())
-            if value >= best - tol:
-                current[i:] = [int(j)] + [int(rest_cols[c]) for c in rest]
-                break
-        free[current[i]] = False
-        fixed_value += L[i, current[i]]
-    return dict(enumerate(current))
+    return dict(enumerate(_hungarian_min(-L)))
 
 
 def normalize_hlp(a_h: np.ndarray) -> np.ndarray:
@@ -169,8 +137,6 @@ def greedy_redistribute(proportions: np.ndarray, n_responders: int, caps: list[i
     if counts.sum() != n_responders:
         raise RuntimeError("redistribution lost or invented responders")
     return counts
-
-
 
 
 def min_cost_flow_assign(
@@ -233,7 +199,7 @@ def min_cost_flow_assign(
     forbidden = 1.0 + 2.0 * float(np.abs(move_cost).sum())
     cost = np.where(allowed, 0.0, forbidden)
     cost[:len(movers), :len(open_depots)] = move_cost
-    assign = _hungarian_min(cost)[0]
+    assign = _hungarian_min(cost)
     if not allowed[np.arange(len(row_region)), assign].all():
         raise InfeasibleError("no move set meets the region counts")
     return {v: open_depots[c] for v, c in zip(movers, assign) if c < len(open_depots)}

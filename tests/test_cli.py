@@ -65,6 +65,14 @@ def test_exit_codes(tmp_path):
                  str(tmp_path / "c"), "--seed", "1", "--episodes-llp", "1",
                  "--episodes-hlp", "0", "--train-seeds", "0:2",
                  "--eval-seeds", "1:3", "--horizon-days", "0.1"]) == 2
+    # config error: an empty seed range, caught before any output is written
+    for flag in ("--train-seeds", "--eval-seeds"):
+        out = tmp_path / f"empty{flag}"
+        seeds = {"--train-seeds": "0:2", "--eval-seeds": "50:51", flag: "5:3"}
+        assert main(["train", "--scenario", str(scenario), "--out-dir", str(out),
+                     "--seed", "1", "--episodes-llp", "1", "--episodes-hlp", "0",
+                     "--horizon-days", "0.1", *(x for kv in seeds.items() for x in kv)]) == 2
+        assert not out.exists()
     # config error: too many depots for the grid
     assert main(["generate", "--out", str(tmp_path / "x.json"), "--seed", "0",
                  "--nx", "2", "--ny", "2", "--depots", "9", "--hospitals", "1",
