@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 
 import numpy as np
 
@@ -66,40 +64,16 @@ class ReplayBuffer:
         return iter(self._items)
 
 
-# per-sample gradient floats one actor pass may hold, a bound on peak memory:
-# 64 samples of the city actor's 256 x 64 layer alone would take 8 MB
-_STACK_FLOATS = 1 << 19
-
-
-def _batch_mean(params, parts, n: int):
-    """Batch means of per-sample values and gradient stacks, given as
-    (values, stacks) parts in sample order. Sums run in sample order from
-    zero, as a loop over the transitions adds; np.sum over the sample axis
-    would add pairwise on width-1 parameters and change the bits."""
-    mean = nn.clone(params)
-    for total in mean.arrays():
-        total[...] = 0.0
-    value = 0.0
-    for values, stacks in parts:
-        value = reduce(add, values, value)
-        for total, stack in zip(mean.arrays(), stacks):
-            for g in stack:
-                total += g
-        del stacks  # free this part before the next one is computed
-    for total in mean.arrays():
-        total *= 1.0 / n
-    return float(value) / n, mean
-
-
 class DdpgAgent:
     """Actor, critic, their target copies, Adam states and replay, with the
     DDPG update both agent levels share. Each network runs once over the
-    batch (see nn) and gives the bits of a loop over its transitions.
+    batch (see nn), seeded so that its backward pass returns the batch-mean
+    gradient; a loop over the transitions gives the same update to rounding.
 
     A subclass supplies, for lists of observations: critic inputs (B, w) for
     their actions, the target actor's actions (None where there is nothing to
-    bootstrap from), and the actor's Q values and per-sample gradient stacks
-    (leaving out observations it cannot act on)."""
+    bootstrap from), and the batch-mean actor Q and gradient of -Q (counting
+    observations it cannot act on as zero)."""
 
     def __init__(self, actor, critic, cfg: DdpgConfig, gamma: float):
         self.cfg = cfg
@@ -145,20 +119,15 @@ class DdpgAgent:
         q, cache = self._critic(self.critic, [tr.obs for tr in batch],
                                 [tr.action for tr in batch], train=True, rng=rng)
         err = q[:, 0, 0] - y
-        _, g = nn.mlp_backward(self.critic, cache, 2.0 * err[:, None, None])
-        critic_loss, grads = _batch_mean(self.critic, [(err * err, g.arrays())], n)
+        _, grads = nn.mlp_backward(self.critic, cache, 2.0 / n * err[:, None, None])
         nn.adam_step(self.critic_opt, self.critic, grads, cfg.lr)
 
-        chunks = -(-n * sum(a.size for a in self.actor.arrays()) // _STACK_FLOATS)
-        step = -(-n // chunks)
-        parts = (self.actor_gradients([tr.obs for tr in batch[i:i + step]], train=True, rng=rng)
-                 for i in range(0, n, step))
-        actor_q, grads = _batch_mean(self.actor, parts, n)
+        actor_q, grads = self.actor_gradients([tr.obs for tr in batch], train=True, rng=rng)
         nn.adam_step(self.actor_opt, self.actor, grads, cfg.lr)
 
         nn.soft_update(self.actor_target, self.actor, cfg.tau)
         nn.soft_update(self.critic_target, self.critic, cfg.tau)
-        return {"critic_loss": critic_loss, "actor_q": actor_q,
+        return {"critic_loss": float(err @ err) / n, "actor_q": actor_q,
                 "explore_eps": self.explore_eps, "buffer_size": len(self.buffer)}
 
 
@@ -229,26 +198,27 @@ class LlpAgent(DdpgAgent):
 
     def actor_gradients(self, observations: list[RegionObservation], train: bool = False,
                         rng: np.random.Generator | None = None):
-        """Q(s, actor(s)) and the per-sample gradient stacks of -Q wrt the
-        actor parameters over the observations with responders, from one pass
-        per responder count (actor dropout draws in that order); the critic's
-        value flows back through the occupancy and arrival features."""
-        qs, stacks, order = [], [], []
-        for n, members, phi, lam in group_by_count(observations):
-            if not n:
+        """Batch means of Q(s, actor(s)) and of the gradient of -Q wrt the
+        actor parameters, from one pass per responder count (actor dropout
+        draws in that order); observations without responders add zero. The
+        critic's value flows back through the occupancy and arrival features."""
+        n = len(observations)
+        q_sum, grads = 0.0, nn.clone(self.actor)
+        for a in grads.arrays():
+            a[...] = 0.0
+        for count, members, phi, lam in group_by_count(observations):
+            if not count:
                 continue
             probs, a_cache = nn.trxl_forward(self.actor, actor_features(phi, lam),
                                              train=train, rng=rng)
             q, c_cache = nn.mlp_forward(self.critic, critic_features(phi, lam, probs)[:, None])
-            dfeat, _ = nn.mlp_backward(self.critic, c_cache, np.full(q.shape, -1.0))
-            _, grads = nn.trxl_backward(self.actor, a_cache,
-                                        critic_features_grad(phi, probs, dfeat[:, 0]))
-            qs.append(q[:, 0, 0])
-            stacks.append(grads.arrays())
-            order += members
-        rank = np.argsort(order)
-        return (np.concatenate(qs or [np.zeros(0)])[rank],
-                [np.concatenate(parts)[rank] for parts in zip(*stacks)])
+            dfeat, _ = nn.mlp_backward(self.critic, c_cache, np.full(q.shape, -1.0 / n))
+            _, g = nn.trxl_backward(self.actor, a_cache,
+                                    critic_features_grad(phi, probs, dfeat[:, 0]))
+            q_sum += float(q.sum())
+            for total, part in zip(grads.arrays(), g.arrays()):
+                total += part
+        return q_sum / n, grads
 
 
 class HlpAgent(DdpgAgent):
@@ -297,14 +267,14 @@ class HlpAgent(DdpgAgent):
 
     def actor_gradients(self, observations: list[np.ndarray], train: bool = False,
                         rng: np.random.Generator | None = None):
-        """Q(s, actor(s)) and the per-sample gradient stacks of -Q wrt the
+        """Batch means of Q(s, actor(s)) and of the gradient of -Q wrt the
         actor parameters."""
         obs = np.stack(observations)[:, None, :]
         a, a_cache = nn.mlp_forward(self.actor, obs, train=train, rng=rng)
         q, c_cache = nn.mlp_forward(self.critic, np.concatenate([obs, a], axis=-1))
-        dx, _ = nn.mlp_backward(self.critic, c_cache, np.full(q.shape, -1.0))
+        dx, _ = nn.mlp_backward(self.critic, c_cache, np.full(q.shape, -1.0 / len(obs)))
         _, grads = nn.mlp_backward(self.actor, a_cache, dx[..., obs.shape[-1]:])
-        return q[:, 0, 0], grads.arrays()
+        return float(q.mean()), grads
 
 
 def hlp_reward(llp_agents: dict[int, LlpAgent],

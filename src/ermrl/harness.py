@@ -480,12 +480,13 @@ def write_run_summary(records: list[ChainRecord], out_dir) -> None:
         for r in records:
             w.writerow([r.chain_seed, r.n_incidents,
                         "" if r.mean_response_s is None else repr(r.mean_response_s)])
-    lats = [r.latency_mean_s for r in records if r.latency_mean_s is not None]
+    decisions = sum(r.decision_count for r in records)
+    latency = sum(r.latency_mean_s * r.decision_count for r in records if r.decision_count)
     means = [r.mean_response_s for r in records if r.mean_response_s is not None]
     summary = {
         "chains": len(records),
         "mean_response_s": float(np.mean(means)) if means else None,
-        "decision_latency_mean_s": float(np.mean(lats)) if lats else None,
+        "decision_latency_mean_s": latency / decisions if decisions else None,
         "decision_latency_max_s": max((r.latency_max_s for r in records
                                        if r.latency_max_s is not None), default=None),
         "per_chain": [asdict(r) for r in records],
@@ -531,6 +532,8 @@ def write_noise_matrix(rows: list[dict], path) -> None:
 def compare_runs(named_runs: list[tuple[str, list[tuple[int, float]]]],
                  n_perms: int = 100_000, seed: int = 0) -> list[dict]:
     """Pairwise tests of every run against the first (the reference)."""
+    if len(named_runs) < 2:
+        raise ValueError("comparing needs at least two runs")
     ref_name, ref_rows = named_runs[0]
     ref = dict(ref_rows)
     out = []

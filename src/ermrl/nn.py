@@ -7,10 +7,11 @@ in the test suite. No positional encodings: responder rows form an unordered
 set, so the stack is permutation-equivariant by construction.
 
 Every pass takes an optional leading batch axis: (B, n, k) inputs run as B
-stacked (n, k) samples, and backward passes return per-sample parameter-gradient
-stacks (B, *shape). A stacked matmul runs each sample through the kernel an
-unbatched call uses, so a batch gives the unbatched bits; a flattened
-(B * n, k) product would not (a one-row sample takes the gemv path).
+stacked (n, k) samples. A stacked matmul runs each sample through the kernel an
+unbatched call uses, so outputs and input gradients are the unbatched bits; a
+flattened (B * n, k) product would not be (a one-row sample takes the gemv
+path). Parameter gradients are shaped like the parameters: summed over every
+leading axis, each weight gradient one contraction over the flattened rows.
 """
 
 from __future__ import annotations
@@ -87,6 +88,17 @@ def _t(x: Array) -> Array:
     return np.swapaxes(x, -1, -2)
 
 
+def _rows(x: Array) -> Array:
+    return x.reshape(-1, x.shape[-1])
+
+
+def _affine_grads(x: Array, d: Array) -> tuple[Array, Array]:
+    """Weight and bias gradients of x @ w + b for output gradient d, summed
+    over every leading axis. einsum, not rows.T @ rows: the product would run
+    multithreaded BLAS on these small matrices and cost more CPU time."""
+    return np.einsum("ri,rj->ij", _rows(x), _rows(d)), _rows(d).sum(axis=0)
+
+
 def mlp_forward(p: MlpParams, x: Array, train: bool = False,
                 rng: np.random.Generator | None = None) -> tuple[Array, list]:
     """Dropout masks come from one draw, sample by sample and within a sample
@@ -119,11 +131,7 @@ def mlp_backward(p: MlpParams, cache: list, dy: Array) -> tuple[Array, MlpParams
         if mask is not None:
             dh = dh * mask
         dz = dh * _ACTIVATIONS[layer.activation][1](pre)
-        # a one-row sample's weight gradient is an outer product, one multiply
-        # per entry; einsum forms it faster than matmul's column-times-row loop
-        gw = (np.einsum("...ri,...rj->...ij", h_in, dz) if h_in.shape[-2] == 1
-              else _t(h_in) @ dz)
-        grads.append(DenseLayer(gw, dz.sum(axis=-2), layer.activation, layer.dropout))
+        grads.append(DenseLayer(*_affine_grads(h_in, dz), layer.activation, layer.dropout))
         dh = dz @ layer.w.T
     return dh, MlpParams(grads[::-1])
 
@@ -160,7 +168,7 @@ def norm_backward(p: NormParams, cache: tuple, dy: Array) -> tuple[Array, NormPa
     mean_d = dxhat.mean(axis=-1, keepdims=True)
     mean_dx = (dxhat * xhat).mean(axis=-1, keepdims=True)
     dx = inv * (dxhat - mean_d - xhat * mean_dx)
-    return dx, NormParams((dy * xhat).sum(axis=-2), dy.sum(axis=-2))
+    return dx, NormParams(_rows(dy * xhat).sum(axis=0), _rows(dy).sum(axis=0))
 
 
 # --- multi-head attention -----------------------------------------------------
@@ -223,8 +231,11 @@ def mha_backward(p: MhaParams, cache: tuple, dy: Array) -> tuple[Array, MhaParam
     dk = (_t(dscores) @ q) * scale
     flats = [_merge_heads(d) for d in (dq, dk, dv)]
     dx = sum(f @ w.T for f, w in zip(flats, (p.wq, p.wk, p.wv)))
-    grads = MhaParams(*(g for f in flats for g in (_t(x) @ f, f.sum(axis=-2))),
-                      _t(merged) @ dy, dy.sum(axis=-2), n_heads=h)
+    grads = MhaParams(*(g for f in flats for g in _affine_grads(x, f)),
+                      *_affine_grads(merged, dy), n_heads=h)
+    # the key bias shifts each row of scores by one constant, which softmax
+    # ignores: its gradient is 0, and the computed sum only rounding noise
+    grads.bk[...] = 0.0
     return dx, grads
 
 
@@ -308,7 +319,7 @@ def trxl_forward(p: TrxlParams, x: Array, train: bool = False,
 
 def trxl_backward(p: TrxlParams, cache: dict, dprobs: Array) -> tuple[Array, TrxlParams]:
     dlogits = softmax_rows_backward(cache["probs"], np.asarray(dprobs, dtype=float))
-    out_proj = DenseLayer(_t(cache["pre_out"]) @ dlogits, dlogits.sum(axis=-2))
+    out_proj = DenseLayer(*_affine_grads(cache["pre_out"], dlogits))
     dh = dlogits @ p.out_proj.w.T
     layers = []
     for layer, (mha_cache, n1_cache, mlp_cache, n2_cache) in zip(reversed(p.layers),
@@ -319,7 +330,7 @@ def trxl_backward(p: TrxlParams, cache: dict, dprobs: Array) -> tuple[Array, Trx
         dmha_in, g_mha = mha_backward(layer.mha, mha_cache, dsum1)
         dh = dsum1 + dmha_in
         layers.append(TrxlLayer(g_mha, g_norm_mha, g_mlp, g_norm_mlp))
-    in_proj = DenseLayer(_t(cache["x"]) @ dh, dh.sum(axis=-2))
+    in_proj = DenseLayer(*_affine_grads(cache["x"], dh))
     return dh @ p.in_proj.w.T, TrxlParams(in_proj, layers[::-1], out_proj)
 
 

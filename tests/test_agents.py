@@ -149,7 +149,7 @@ class TestLlpTraining:
 
         _, grads = agent.actor_gradients([obs])
         eps = 1e-5
-        for a, g in zip(agent.actor.arrays(), grads):
+        for a, g in zip(agent.actor.arrays(), grads.arrays()):
             flat, gflat = a.ravel(), g.ravel()
             for idx in range(flat.size):
                 old = flat[idx]
@@ -434,15 +434,21 @@ def _hlp_agent_with_buffer(seed):
     return agent
 
 
+def _close(x, y):
+    # atol covers entries whose true value is 0, where either order of the
+    # gradient sums leaves only rounding noise
+    return np.allclose(x, y, rtol=1e-10, atol=1e-12)
+
+
 def _assert_same_learner(a, b):
     for net in ("actor", "actor_target", "critic", "critic_target"):
         for x, y in zip(getattr(a, net).arrays(), getattr(b, net).arrays()):
-            assert np.array_equal(x, y), net
+            assert _close(x, y), net
     for opt in ("actor_opt", "critic_opt"):
         sa, sb = getattr(a, opt), getattr(b, opt)
         assert sa.t == sb.t
         for x, y in zip(sa.m + sa.v, sb.m + sb.v):
-            assert np.array_equal(x, y), opt
+            assert _close(x, y), opt
 
 
 def _compare_with_reference(agent, steps=3):
@@ -451,8 +457,8 @@ def _compare_with_reference(agent, steps=3):
     for _ in range(steps):
         stats = agent.train_step(rng)
         ref_stats = reference_train_step(ref, ref_rng)
-        assert stats["critic_loss"] == ref_stats["critic_loss"]
-        assert stats["actor_q"] == ref_stats["actor_q"]
+        assert stats["critic_loss"] == pytest.approx(ref_stats["critic_loss"], rel=1e-10)
+        assert stats["actor_q"] == pytest.approx(ref_stats["actor_q"], rel=1e-10)
         assert stats["explore_eps"] == agent.explore_eps
         assert stats["buffer_size"] == len(agent.buffer)
     _assert_same_learner(agent, ref)
@@ -460,14 +466,18 @@ def _compare_with_reference(agent, steps=3):
 
 
 class TestBatchedUpdate:
-    def test_llp_matches_the_per_transition_loop(self):
-        _compare_with_reference(_llp_agent_with_buffer(30, n_counts=range(0, 4)))
+    """The batched update equals the per-transition loop to rounding; only
+    the order of the gradient sums differs, so every RNG draw matches."""
 
-    @pytest.mark.parametrize("budget", [1 << 19, 1])
-    def test_hlp_matches_the_per_transition_loop(self, monkeypatch, budget):
-        # budget 1 runs the actor pass one sample at a time
-        monkeypatch.setattr(agents, "_STACK_FLOATS", budget)
-        _compare_with_reference(_hlp_agent_with_buffer(31))
+    # "empty": no region has a responder, so the actor steps on zero gradients
+    @pytest.mark.parametrize("n_counts", [range(0, 4), [0]], ids=["mixed", "empty"])
+    def test_llp_matches_the_per_transition_loop(self, n_counts):
+        _compare_with_reference(_llp_agent_with_buffer(30, n_counts=n_counts))
+
+    # two independent agents and buffers
+    @pytest.mark.parametrize("seed", [1, 524288])
+    def test_hlp_matches_the_per_transition_loop(self, seed):
+        _compare_with_reference(_hlp_agent_with_buffer(seed))
 
     def test_llp_actor_dropout_of_one_responder_count_matches(self):
         # with actor dropout, masks are drawn per responder-count group; a
@@ -482,4 +492,4 @@ class TestBatchedUpdate:
         reference_train_step(ref, ref_rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         for x, y in zip(agent.critic.arrays(), ref.critic.arrays()):
-            assert np.array_equal(x, y)
+            assert _close(x, y)

@@ -73,6 +73,14 @@ def test_exit_codes(tmp_path):
                      "--seed", "1", "--episodes-llp", "1", "--episodes-hlp", "0",
                      "--horizon-days", "0.1", *(x for kv in seeds.items() for x in kv)]) == 2
         assert not out.exists()
+    # config error: compare needs a second run to test against the first
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "run_summary.csv").write_text("chain_seed,n_incidents,mean_response_s\n"
+                                         "50,3,200.0\n51,4,210.0\n")
+    assert main(["compare", f"a={run}"]) == 2
+    assert main(["compare", f"a={run}", "--out", str(tmp_path / "x.csv")]) == 2
+    assert not (tmp_path / "x.csv").exists()
     # config error: too many depots for the grid
     assert main(["generate", "--out", str(tmp_path / "x.json"), "--seed", "0",
                  "--nx", "2", "--ny", "2", "--depots", "9", "--hospitals", "1",

@@ -214,6 +214,15 @@ class TestEvaluation:
         assert rows[0]["mean_reference_s"] == pytest.approx(101.25)
         assert 0.0 < rows[0]["p_value"] <= 1.0
 
+    def test_summary_latency_weights_chains_by_decision_count(self, tmp_path):
+        records = [harness.ChainRecord(50, 10, 200.0, 1, 0.010, 0.010),
+                   harness.ChainRecord(51, 10, 210.0, 3, 0.002, 0.004),
+                   harness.ChainRecord(52, 0, None, 0, None, None)]
+        harness.write_run_summary(records, tmp_path)
+        summary = json.loads((tmp_path / "run_summary.json").read_text())
+        assert summary["decision_latency_mean_s"] == pytest.approx((0.010 + 3 * 0.002) / 4)
+        assert summary["decision_latency_max_s"] == 0.010
+
     def test_default_eval_fleet_leaves_search_a_move(self, tmp_path):
         # a responder on every depot would make search return the static result
         world = harness.generate_scenario(harness.ScenarioParams(), 7)

@@ -185,6 +185,17 @@ class TestTrxl:
         with pytest.raises(ValueError):
             nn.trxl_forward(p, np.zeros((0, 4)))
 
+    def test_key_bias_has_no_effect_and_zero_gradient(self):
+        # the key bias shifts each row of attention scores by one constant
+        rng = np.random.default_rng(19)
+        p = nn.trxl_init(6, 3, rng, n_heads=2, n_layers=1)
+        x = rng.normal(size=(4, 6))
+        probs, cache = nn.trxl_forward(p, x)
+        _, grads = nn.trxl_backward(p, cache, rng.normal(size=(4, 3)))
+        assert np.all(grads.layers[0].mha.bk == 0.0)
+        p.layers[0].mha.bk += rng.normal(size=6)
+        assert np.allclose(nn.trxl_forward(p, x)[0], probs, rtol=0.0, atol=1e-12)
+
     def test_finite_differences_full_stack(self):
         rng = np.random.default_rng(11)
         done = 0
@@ -286,16 +297,16 @@ class TestCheckpoint:
 
 
 class TestBatchAxis:
-    """A (B, n, k) batch gives, bit for bit, what B unbatched calls give in
-    turn: outputs, input gradients, per-sample parameter-gradient stacks and
-    the dropout draws."""
+    """A (B, n, k) batch gives, bit for bit, the outputs, input gradients and
+    dropout draws of B unbatched calls in turn; its parameter gradients are
+    the sum of theirs."""
 
     @staticmethod
-    def assert_stacks_equal(stacked, singles):
-        for b, single in enumerate(singles):
-            for s, a in zip(stacked.arrays(), single.arrays()):
-                assert s.shape[1:] == a.shape
-                assert np.array_equal(s[b], a)
+    def assert_sum_of(batched, singles):
+        for s, *parts in zip(batched.arrays(), *(g.arrays() for g in singles)):
+            total = sum(parts)
+            assert s.shape == total.shape
+            assert np.allclose(s, total, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("rows", [1, 2])
     def test_mlp(self, rows):
@@ -313,7 +324,7 @@ class TestBatchAxis:
             dx_b, g_b = nn.mlp_backward(p, cache_b, dy[b])
             assert np.array_equal(y[b], y_b) and np.array_equal(dx[b], dx_b)
             singles.append(g_b)
-        self.assert_stacks_equal(grads, singles)
+        self.assert_sum_of(grads, singles)
 
     @pytest.mark.parametrize("n_layers, dropout", [(2, 0.0), (1, 0.25)])
     def test_trxl(self, n_layers, dropout):
@@ -331,4 +342,4 @@ class TestBatchAxis:
             dx_b, g_b = nn.trxl_backward(p, cache_b, dprobs[b])
             assert np.array_equal(probs[b], probs_b) and np.array_equal(dx[b], dx_b)
             singles.append(g_b)
-        self.assert_stacks_equal(grads, singles)
+        self.assert_sum_of(grads, singles)
