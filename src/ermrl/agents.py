@@ -306,9 +306,8 @@ def sample_llp_fleet(n_region_depots: int, fleet_ratio: float,
     return max(1, min(n, n_region_depots))
 
 
-def sample_hlp_fleet(center: int, total_capacity: int, rng: np.random.Generator,
-                     spread: int = 3) -> int:
-    n = int(center + rng.integers(-spread, spread + 1))
+def sample_hlp_fleet(center: int, total_capacity: int, rng: np.random.Generator) -> int:
+    n = int(center + rng.integers(-3, 4))
     return max(1, min(n, total_capacity))
 
 

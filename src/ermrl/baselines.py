@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import arrival_time
+from .features import arrival_times
 from .geo import ScenarioWorld
 from .optim import _hungarian_min
 from .sim import Simulator
@@ -116,9 +116,11 @@ def mcts_plan(sim: Simulator, region: int, cfg: MctsConfig,
     futures = [_sample_future(world, region_cells, t0, cfg.rollout_horizon_s, rng)
                for _ in range(cfg.n_samples)]
 
+    etas = arrival_times([sim.responders[rid] for rid in member_ids], depot_ids, t0, world)
+    eta = {rid: dict(zip(depot_ids, row)) for rid, row in zip(member_ids, etas.tolist())}
+
     def evaluate(assignment: dict[int, int]) -> float:
-        ready = {rid: (t0 + arrival_time(sim.responders[rid], d, t0, world), d)
-                 for rid, d in assignment.items()}
+        ready = {rid: (t0 + eta[rid][d], d) for rid, d in assignment.items()}
         future = futures[int(rng.integers(len(futures)))]
         return _rollout_value(ready, future, world, t0, t_serve, cfg)
 
@@ -266,10 +268,8 @@ def random_plan(sim: Simulator, region: int, rng: np.random.Generator) -> dict[i
 
 def _match_to_depots(sim: Simulator, member_ids: list[int],
                      chosen: list[int]) -> dict[int, int]:
-    costs = np.array([
-        [arrival_time(sim.responders[rid], d, sim.now, sim.world) for d in chosen]
-        for rid in member_ids
-    ])
+    costs = arrival_times([sim.responders[rid] for rid in member_ids], chosen,
+                          sim.now, sim.world)
     assign = _hungarian_min(costs)
     return {rid: chosen[int(j)] for rid, j in zip(member_ids, assign)}
 

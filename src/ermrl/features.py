@@ -1,8 +1,9 @@
 """Projections from simulator state to fixed-meaning feature vectors.
 
-Planner networks never see raw state. Per depot the region planners see the
-expected arrival time of each responder, and the incident rate near the
-depot; the city planner sees per-region rate sums and responder counts.
+Planner networks never see raw state. Per depot the region planners see each
+responder's expected arrival time (the simulator's eta_to_cell rule, busy
+ones included), and the incident rate near the depot; the city planner sees
+per-region rate sums and responder counts.
 Normalization is fixed: times / 3600 s, rates / the scenario's max per-depot
 rate, counts / fleet size. Observation noise (multiplicative log-normal) is
 applied here, to agent inputs only, never to simulator ground truth.
@@ -20,19 +21,13 @@ from .sim import ResponderState, eta_to_cell
 TIME_SCALE_S = 3600.0
 
 
-def arrival_time(resp: ResponderState, depot_id: int, t: float, world: ScenarioWorld) -> float:
-    """Seconds until the responder could be waiting at the depot.
-
-    A busy responder first finishes its run: remaining service time plus the
-    ride from its drop-off hospital. An available responder pays the en-route
-    rule; zero if it is already there.
-    """
-    depot_cell = world.depots[depot_id].cell
-    if resp.t_avail is not None:
-        h_cell = world.hospitals[resp.hospital].cell
-        return (resp.t_avail - t) + world.travel.travel_time(h_cell, depot_cell, resp.t_avail)
-    _, eta = eta_to_cell(resp.track, depot_cell, t, world)
-    return eta
+def arrival_times(responders: list[ResponderState], depot_ids: list[int], t: float,
+                  world: ScenarioWorld) -> np.ndarray:
+    """(n responders, n depots) seconds until each responder could be waiting
+    at each depot: one sim.eta_to_cell row per responder."""
+    cells = np.array([world.depots[d].cell for d in depot_ids], dtype=int)
+    rows = [eta_to_cell(resp, cells, t, world)[1] for resp in responders]
+    return np.array(rows).reshape(len(responders), len(cells))
 
 
 def apply_observation_noise(features: np.ndarray, sigma: float,
@@ -106,10 +101,8 @@ def region_observation(
     depot_ids = world.region_depots(region)
     lam_all = world.nearby_rates_at(t)
     lam = np.array([lam_all[d] for d in depot_ids]) / world.rate_scale
-    phi = np.array([
-        [arrival_time(responders[rid], d, t, world) for d in depot_ids]
-        for rid in member_ids
-    ]).reshape(len(member_ids), len(depot_ids)) / TIME_SCALE_S
+    phi = arrival_times([responders[rid] for rid in member_ids], depot_ids, t,
+                        world) / TIME_SCALE_S
     if noise is not None and rng is not None:
         phi = apply_observation_noise(phi, noise.sigma_time, rng)
         lam = apply_observation_noise(lam, noise.sigma_rate, rng)

@@ -104,20 +104,21 @@ class TravelModel:
         self.bucket_duration_s = int(bucket_duration_s)
         self.matrices = matrices
         self.period_s = period
-
-    @property
-    def n_cells(self) -> int:
-        return self.matrices.shape[1]
+        self.n_cells = matrices.shape[1]
 
     def bucket_index(self, t: float) -> int:
         return int((t % self.period_s) // self.bucket_duration_s)
+
+    def times_from(self, from_cell: int, to_cells, t: float):
+        """Unchecked: seconds from from_cell to one cell id or an id array at t."""
+        return self.matrices[self.bucket_index(t), from_cell, to_cells]
 
     def travel_time(self, from_cell: int, to_cell: int, t: float) -> float:
         if not (0 <= from_cell < self.n_cells and 0 <= to_cell < self.n_cells):
             raise ScenarioError(f"unknown cell id in travel lookup: {from_cell}, {to_cell}")
         if t < 0:
             raise ScenarioError("travel lookup requires t >= 0")
-        return float(self.matrices[self.bucket_index(t), from_cell, to_cell])
+        return float(self.times_from(from_cell, to_cell, t))
 
 
 class RateModel:
@@ -198,9 +199,9 @@ def kmeans_segment(
     depots: dict[int, Depot],
     k: int,
     seed: int,
-    rate_weight: float | None = None,
 ) -> Segmentation:
-    """Cluster cells by (x, y, w * mean rate) with Lloyd's algorithm.
+    """Cluster cells by (x, y, w * mean rate) with Lloyd's algorithm, where w
+    scales the largest mean rate to the grid's diagonal.
 
     Clusters that end up without a depot are dissolved: their cells join the
     region of the nearest depot (centroid distance, ties to lowest depot id),
@@ -214,9 +215,8 @@ def kmeans_segment(
 
     xy = grid.centroids()
     mean_rates = rates.mean_rates()
-    if rate_weight is None:
-        max_rate = float(mean_rates.max())
-        rate_weight = grid.diagonal_miles() / max_rate if max_rate > 0 else 0.0
+    max_rate = float(mean_rates.max())
+    rate_weight = grid.diagonal_miles() / max_rate if max_rate > 0 else 0.0
     feats = np.column_stack([xy, rate_weight * mean_rates])
 
     rng = np.random.default_rng(seed)
@@ -312,6 +312,13 @@ class ScenarioWorld:
     def __post_init__(self):
         if not self.hospitals:
             raise ScenarioError("scenario needs at least one hospital")
+        n = self.grid.n_cells
+        if self.travel.n_cells != n or self.rates.n_cells != n:
+            raise ScenarioError(f"travel and rate tables must cover the grid's {n} cells")
+        # the simulator's travel lookups are unchecked, so every cell id is checked here
+        cells = {p.cell for p in (*self.depots.values(), *self.hospitals.values())}
+        if not cells.union(*self.seg.region_cells.values()) <= set(range(n)):
+            raise ScenarioError(f"depot, hospital and region cell ids must lie in [0, {n})")
         for d in self.depots.values():
             if d.cell not in self.seg.region_cells[self.seg.depot_regions[d.id]]:
                 raise ScenarioError(f"depot {d.id} lies outside its region")

@@ -398,7 +398,6 @@ class ExperimentSpec:
     train_seeds: tuple[int, ...] = tuple(range(50))
     eval_seeds: tuple[int, ...] = tuple(range(50, 60))
     fleet_size: int | None = None   # default: resolve_fleet
-    trigger_mode: str | None = None  # default: per planner
     horizon_s: float = 11 * 86400.0
     sigma_rate: float = 0.0
     sigma_time: float = 0.0
@@ -417,13 +416,12 @@ def build_controller(spec: ExperimentSpec, world: ScenarioWorld,
     ctrl_seed = int(np.random.SeedSequence((spec.seed, chain_seed)).generate_state(1)[0])
     if spec.planner == "drl":
         llp_agents, hlp_agent = load_agents(checkpoint_dir, world)
-        return learned_controller(world, TriggerPolicy(mode=spec.trigger_mode or "ours"),
+        return learned_controller(world, TriggerPolicy(mode="ours"),
                                   llp_agents, hlp_agent, noise=noise, seed=ctrl_seed)
     if spec.planner == "static":
         return None
     planner = BaselineRegionPlanner(spec.planner, mcts_cfg=spec.mcts, alpha=spec.alpha)
-    trigger = TriggerPolicy(mode=spec.trigger_mode or "baseline")
-    return HierarchyController(world, trigger, planner, seed=ctrl_seed)
+    return HierarchyController(world, TriggerPolicy(mode="baseline"), planner, seed=ctrl_seed)
 
 
 @dataclass
@@ -452,8 +450,8 @@ def _eval_one_chain(packed) -> ChainRecord:
     spec, world, checkpoint_dir, chain_seed = packed
     chain = sample_chain(world.rates, spec.horizon_s, chain_seed)
     controller = build_controller(spec, world, checkpoint_dir, chain_seed)
-    idle = TriggerPolicy().idle_timeout_s if (controller is not None
-                                              and controller.trigger.mode == "baseline") else None
+    idle = (controller.trigger.idle_timeout_s if controller is not None
+            and controller.trigger.mode == "baseline" else None)
     cfg = SimConfig(idle_timeout_s=idle)
     fleet = resolve_fleet(world, spec.fleet_size)
     result = run_episode(world, chain, controller, cfg, n_responders=fleet)

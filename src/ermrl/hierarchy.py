@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import NoiseModel, arrival_time, hlp_observation, region_observation
+from .features import NoiseModel, arrival_times, hlp_observation, region_observation
 from .geo import ScenarioWorld
 from .optim import min_cost_flow_assign
 from .sim import Event, Simulator
@@ -42,12 +42,15 @@ def apply_hlp_counts(sim: Simulator, counts_new: dict[int, int]) -> set[int]:
     counts_prev = sim.region_counts()
     if counts_prev == counts_new:
         return set()
+    etas = arrival_times(list(sim.responders.values()), world.depot_ids, sim.now, world)
+    eta = {rid: dict(zip(world.depot_ids, row))
+           for rid, row in zip(sim.responders, etas.tolist())}
     moves = min_cost_flow_assign(
         counts_prev, counts_new,
         responder_regions={rid: r.region for rid, r in sim.responders.items()},
         responder_depots={rid: r.depot for rid, r in sim.responders.items()},
         region_depots={g: world.region_depots(g) for g in world.seg.region_ids},
-        phi=lambda rid, depot: arrival_time(sim.responders[rid], depot, sim.now, world))
+        phi=lambda rid, depot: eta[rid][depot])
     affected = sim.apply_region_moves(moves)
     if sim.region_counts() != counts_new:
         raise RuntimeError("redistribution did not reach the requested counts")

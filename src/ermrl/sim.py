@@ -3,8 +3,8 @@
 Implements the operational model: Poisson incident arrivals, mandatory
 nearest-available dispatch, FIFO waiting queue, fixed on-scene service,
 transport to the nearest hospital, and return to the assigned depot. Planner
-hooks are invoked on decision events and reposition responders through the
-simulator's apply methods.
+hooks run on decision events, move responders through the apply methods and
+share eta_to_cell, the one rule for when a responder can be at a cell.
 """
 
 from __future__ import annotations
@@ -44,26 +44,30 @@ class LocationTrack:
         return self.origin == self.destination
 
 
-def eta_to_cell(track: LocationTrack, target: int, t: float, world: ScenarioWorld) -> tuple[int, float]:
-    """Effective position and time-to-target for an en-route responder.
+def eta_to_cell(resp: ResponderState, target, t: float, world: ScenarioWorld):
+    """Start cell and seconds from t until resp can be at target: one cell id
+    (a float) or an id array (an array), read from one travel-table row.
 
-    Midpoint rule: in the first half of the leg the responder counts as still
-    at the origin (minus time already spent, floored at zero); in the second
-    half it counts as committed to the destination and pays the residual ride
-    plus the onward travel time evaluated at its arrival instant.
+    Busy: remaining service time, then the ride from the drop-off hospital.
+    Available, midpoint rule: in the first half of a leg the responder counts
+    as still at the origin (minus time already spent, floored at zero); in the
+    second half it counts as committed to the destination and pays the
+    residual ride plus the onward travel time evaluated at its arrival instant.
     """
-    travel = world.travel
-    if t <= track.depart_t or track.stationary:
-        return track.origin, travel.travel_time(track.origin, target, t)
-    if t >= track.arrive_t:
-        return track.destination, travel.travel_time(track.destination, target, t)
-    elapsed = t - track.depart_t
-    total = track.arrive_t - track.depart_t
-    if elapsed < total / 2:
-        eta = max(travel.travel_time(track.origin, target, t) - elapsed, 0.0)
-        return track.origin, eta
-    onward = travel.travel_time(track.destination, target, track.arrive_t)
-    return track.destination, (track.arrive_t - t) + onward
+    times, track = world.travel.times_from, resp.track
+    if resp.t_avail is not None:
+        cell = world.hospitals[resp.hospital].cell
+        eta = (resp.t_avail - t) + times(cell, target, resp.t_avail)
+    elif t <= track.depart_t or track.stationary:
+        cell, eta = track.origin, times(track.origin, target, t)
+    elif t >= track.arrive_t:
+        cell, eta = track.destination, times(track.destination, target, t)
+    elif (elapsed := t - track.depart_t) < (track.arrive_t - track.depart_t) / 2:
+        cell, eta = track.origin, np.maximum(times(track.origin, target, t) - elapsed, 0.0)
+    else:
+        cell = track.destination
+        eta = (track.arrive_t - t) + times(cell, target, track.arrive_t)
+    return cell, (eta if isinstance(eta, np.ndarray) else float(eta))
 
 
 @dataclass
@@ -291,22 +295,18 @@ class Simulator:
 
     def dispatch(self, incident: Incident) -> int | None:
         """Send the nearest available responder, else queue the incident FIFO."""
-        best_rid, best_eta = None, None
-        for rid in sorted(self.responders):
-            r = self.responders[rid]
-            if not r.available:
-                continue
-            _, eta = eta_to_cell(r.track, incident.cell, self.now, self.world)
-            if best_eta is None or eta < best_eta:
-                best_rid, best_eta = rid, eta
-        if best_rid is None:
+        free = [rid for rid in sorted(self.responders) if self.responders[rid].available]
+        if not free:
             self.queue.append(incident)
             return None
-        self._assign_to_incident(best_rid, incident, best_eta)
-        return best_rid
+        best = min(free, key=lambda rid: eta_to_cell(self.responders[rid], incident.cell,
+                                                      self.now, self.world)[1])
+        self._assign_to_incident(best, incident)
+        return best
 
-    def _assign_to_incident(self, rid: int, incident: Incident, eta: float):
+    def _assign_to_incident(self, rid: int, incident: Incident):
         r = self.responders[rid]
+        start_cell, eta = eta_to_cell(r, incident.cell, self.now, self.world)
         scene_arrival = self.now + eta
         response = scene_arrival - incident.report_t
         if response < 0:
@@ -318,7 +318,6 @@ class Simulator:
         hospital = self.world.nearest_hospital(incident.cell, depart_scene)
         h_cell = self.world.hospitals[hospital].cell
         t_avail = depart_scene + self.world.travel.travel_time(incident.cell, h_cell, depart_scene)
-        start_cell, _ = eta_to_cell(r.track, incident.cell, self.now, self.world)
         r.incident = incident.cell
         r.hospital = hospital
         r.t_avail = t_avail
@@ -338,16 +337,14 @@ class Simulator:
         r.track = LocationTrack.at(h_cell, self.now)
         r.check()
         if self.queue:
-            incident = self.queue.popleft()
-            eta = self.world.travel.travel_time(h_cell, incident.cell, self.now)
-            self._assign_to_incident(rid, incident, eta)
+            self._assign_to_incident(rid, self.queue.popleft())
         else:
             self._send_to_depot(rid)
 
     def _send_to_depot(self, rid: int):
         r = self.responders[rid]
         depot_cell = self.world.depots[r.depot].cell
-        start_cell, eta = eta_to_cell(r.track, depot_cell, self.now, self.world)
+        start_cell, eta = eta_to_cell(r, depot_cell, self.now, self.world)
         if eta > 0:
             r.track = LocationTrack(start_cell, depot_cell, self.now, self.now + eta)
             self._push(Event("depot_arrival", self.now + eta, responder=rid,

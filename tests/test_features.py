@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import make_world, uniform_table
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ermrl import features, geo, sim
 
@@ -11,11 +13,111 @@ def idle_responder(world, depot_id, t=0.0):
                               sim.LocationTrack.at(cell, t))
 
 
+def reference_arrival_time(resp, depot_id, t, world):
+    """The per-pair rule that features.arrival_times replaced, over the
+    checked travel_time: busy responders finish their run, available ones
+    pay the midpoint rule."""
+    travel, track = world.travel, resp.track
+    target = world.depots[depot_id].cell
+    if resp.t_avail is not None:
+        h_cell = world.hospitals[resp.hospital].cell
+        return (resp.t_avail - t) + travel.travel_time(h_cell, target, resp.t_avail)
+    if t <= track.depart_t or track.stationary:
+        return travel.travel_time(track.origin, target, t)
+    if t >= track.arrive_t:
+        return travel.travel_time(track.destination, target, t)
+    elapsed = t - track.depart_t
+    if elapsed < (track.arrive_t - track.depart_t) / 2:
+        return max(travel.travel_time(track.origin, target, t) - elapsed, 0.0)
+    onward = travel.travel_time(track.destination, target, track.arrive_t)
+    return (track.arrive_t - t) + onward
+
+
+def arrival(resp, depot_id, t, world):
+    return features.arrival_times([resp], [depot_id], t, world)[0, 0]
+
+
+KINDS = ("stationary", "first_half", "second_half", "arrived", "clamped", "busy")
+
+
+@st.composite
+def arrival_cases(draw):
+    """A small world (travel times up to 500 s, one or two one-hour buckets,
+    integer entries for exact ties) and responders of every kind. Clamped
+    legs spend at least 700 s before their midpoint, so the origin's time
+    to any cell is used up."""
+    n = draw(st.integers(2, 6))
+    n_buckets = draw(st.integers(1, 2))
+    entry = st.one_of(st.integers(0, 500).map(float), st.floats(0.0, 500.0))
+    tables = np.array(draw(st.lists(entry, min_size=n_buckets * n * n,
+                                    max_size=n_buckets * n * n))).reshape(n_buckets, n, n)
+    for table in tables:
+        np.fill_diagonal(table, 0.0)
+    cell = st.integers(0, n - 1)
+    depot_cells = draw(st.lists(cell, min_size=1, max_size=n, unique=True))
+    hospital_cells = draw(st.lists(cell, min_size=1, max_size=2))
+    grid = geo.Grid(tuple(geo.Cell(i, (float(i), 0.0)) for i in range(n)), 1.0,
+                    (0.0, 0.0, float(n), 1.0))
+    depots = {i: geo.Depot(i, c) for i, c in enumerate(depot_cells)}
+    world = geo.ScenarioWorld(
+        grid, depots, {i: geo.Hospital(i, c) for i, c in enumerate(hospital_cells)},
+        geo.TravelModel(3600, tables), geo.RateModel(3600, np.zeros((1, n))),
+        geo.single_region(grid, depots))
+    t = draw(st.floats(0.0, 3 * 3600.0))
+    responders = []
+    for rid, kind in enumerate(draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=4))):
+        origin = draw(cell)
+        dest = draw(cell.filter(lambda c, o=origin: c != o))
+        dur = draw(st.floats(2000.0, 4000.0) if kind == "clamped" else st.floats(1.0, 3000.0))
+        frac = {"first_half": st.floats(0.0, 0.49), "second_half": st.floats(0.5, 0.99),
+                "arrived": st.floats(1.0, 2.0), "clamped": st.floats(0.35, 0.49),
+                }.get(kind, st.just(0.5))
+        depart = t - draw(frac) * dur
+        track = (sim.LocationTrack.at(origin, t - draw(st.floats(0.0, 100.0)))
+                 if kind == "stationary" else sim.LocationTrack(origin, dest, depart, depart + dur))
+        resp = sim.ResponderState(rid, 0, 0, track)
+        if kind == "busy":
+            resp.incident = dest
+            resp.hospital = draw(st.integers(0, len(hospital_cells) - 1))
+            resp.t_avail = t + draw(st.floats(0.0, 5000.0))
+        responders.append(resp)
+    return world, responders, t
+
+
+class TestArrivalTimesOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(arrival_cases())
+    def test_matches_per_pair_rule(self, case):
+        world, responders, t = case
+        got = features.arrival_times(responders, world.depot_ids, t, world)
+        want = np.array([[reference_arrival_time(r, d, t, world) for d in world.depot_ids]
+                         for r in responders])
+        assert got.shape == (len(responders), len(world.depot_ids))
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(arrival_cases())
+    def test_int_target_equals_one_element_array(self, case):
+        world, responders, t = case
+        for resp in responders:
+            for c in range(world.grid.n_cells):
+                cell, eta = sim.eta_to_cell(resp, c, t, world)
+                cell_a, eta_a = sim.eta_to_cell(resp, np.array([c]), t, world)
+                assert type(eta) is float
+                assert (cell, eta) == (cell_a, eta_a[0])
+
+    def test_empty_rows_and_columns(self):
+        world = make_world(uniform_table(3, 100.0), [0, 1], [2])
+        assert features.arrival_times([], [0, 1], 0.0, world).shape == (0, 2)
+        r = idle_responder(world, 0)
+        assert features.arrival_times([r], [], 0.0, world).shape == (1, 0)
+
+
 class TestArrivalTime:
     def test_zero_when_stationary_at_depot(self):
         world = make_world(uniform_table(3, 200.0), [1], [2])
         r = idle_responder(world, 0)
-        assert features.arrival_time(r, 0, 500.0, world) == 0.0
+        assert arrival(r, 0, 500.0, world) == 0.0
 
     def test_idle_at_other_cell(self):
         table = uniform_table(3, 999.0)
@@ -23,7 +125,7 @@ class TestArrivalTime:
         world = make_world(table, [1], [0])
         r = idle_responder(world, 0)
         r.track = sim.LocationTrack.at(2, 0.0)
-        assert features.arrival_time(r, 0, 0.0, world) == 180.0
+        assert arrival(r, 0, 0.0, world) == 180.0
 
     def test_busy_formula(self):
         table = uniform_table(3, 999.0)
@@ -33,7 +135,7 @@ class TestArrivalTime:
         r.incident = 0
         r.hospital = 0
         r.t_avail = 400.0
-        assert features.arrival_time(r, 0, 100.0, world) == pytest.approx(550.0)
+        assert arrival(r, 0, 100.0, world) == pytest.approx(550.0)
 
     def test_busy_lower_bound(self):
         rng = np.random.default_rng(0)
@@ -45,7 +147,7 @@ class TestArrivalTime:
         r.hospital = 0
         r.t_avail = 900.0
         for t in (0.0, 400.0, 899.0):
-            assert features.arrival_time(r, 0, t, world) >= r.t_avail - t
+            assert arrival(r, 0, t, world) >= r.t_avail - t
 
 
 def occupancy(phi, L):

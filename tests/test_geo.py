@@ -296,6 +296,48 @@ class TestScenarioRoundTrip:
         assert loaded.nearest_hospital(4, 0.0) == world.nearest_hospital(4, 0.0)
 
 
+@pytest.fixture(scope="module")
+def default_city_doc():
+    from ermrl.harness import ScenarioParams, generate_scenario
+    return geo.world_to_json(generate_scenario(ScenarioParams(), seed=7))
+
+
+def widen_rates(doc):
+    rates = [row + [0.0] * 5 for row in doc["rates"]["cell_rates_per_hour"]]
+    return {**doc, "rates": {**doc["rates"], "cell_rates_per_hour": rates}}
+
+
+def shrink_travel(doc):
+    mats = [[row[:30] for row in m[:30]] for m in doc["travel"]["matrices"]]
+    return {**doc, "travel": {**doc["travel"], "matrices": mats}}
+
+
+def move_hospital(cell):
+    def edit(doc):
+        return {**doc, "hospitals": [{**doc["hospitals"][0], "cell": cell},
+                                     *doc["hospitals"][1:]]}
+    return edit
+
+
+def grow_region(doc):
+    regions = dict(doc["segmentation"]["regions"])
+    regions["0"] = regions["0"] + [36]
+    return {**doc, "segmentation": {**doc["segmentation"], "regions": regions}}
+
+
+class TestScenarioCellIds:
+    def test_default_city_loads(self, default_city_doc):
+        assert geo.world_from_json(default_city_doc).grid.n_cells == 36
+
+    @pytest.mark.parametrize("edit", [widen_rates, shrink_travel, move_hospital(99),
+                                      move_hospital(-1), grow_region],
+                             ids=["rates_41_cells", "travel_30x30", "hospital_99",
+                                  "hospital_negative", "region_cell_36"])
+    def test_rejected_at_load(self, default_city_doc, edit):
+        with pytest.raises(geo.ScenarioError):
+            geo.world_from_json(edit(default_city_doc))
+
+
 class TestRegionRates:
     def test_equals_region_rate_at_every_rate_bucket(self):
         from ermrl.harness import ScenarioParams, generate_scenario

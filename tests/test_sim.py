@@ -161,24 +161,28 @@ class TestRunEpisode:
             assert logged == list(range(len(chain.incidents)))
 
 
+def on_track(track):
+    return sim.ResponderState(0, 0, 0, track)
+
+
 class TestEtaRule:
     def test_stationary(self):
         world = make_world(uniform_table(3, 100.0), depot_cells=[0], hospital_cells=[2])
         track = sim.LocationTrack.at(1, 0.0)
-        cell, eta = sim.eta_to_cell(track, 2, 50.0, world)
+        cell, eta = sim.eta_to_cell(on_track(track), 2, 50.0, world)
         assert (cell, eta) == (1, 100.0)
 
     def test_first_half_discounts_elapsed(self):
         world = make_world(uniform_table(3, 100.0), depot_cells=[0], hospital_cells=[2])
         track = sim.LocationTrack(0, 1, 0.0, 100.0)
-        cell, eta = sim.eta_to_cell(track, 2, 30.0, world)
+        cell, eta = sim.eta_to_cell(on_track(track), 2, 30.0, world)
         assert cell == 0
         assert eta == pytest.approx(70.0)
 
     def test_second_half_commits_to_destination(self):
         world = make_world(uniform_table(3, 100.0), depot_cells=[0], hospital_cells=[2])
         track = sim.LocationTrack(0, 1, 0.0, 100.0)
-        cell, eta = sim.eta_to_cell(track, 2, 80.0, world)
+        cell, eta = sim.eta_to_cell(on_track(track), 2, 80.0, world)
         assert cell == 1
         assert eta == pytest.approx(20.0 + 100.0)
 
@@ -187,7 +191,7 @@ class TestEtaRule:
         table[0, 2] = table[2, 0] = 10.0
         world = make_world(table, depot_cells=[0], hospital_cells=[2])
         track = sim.LocationTrack(0, 1, 0.0, 100.0)
-        _, eta = sim.eta_to_cell(track, 2, 40.0, world)
+        _, eta = sim.eta_to_cell(on_track(track), 2, 40.0, world)
         assert eta == 0.0
 
 
