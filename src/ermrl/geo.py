@@ -294,6 +294,12 @@ def region_rate(seg: Segmentation, rates: RateModel, region_id: int, t: float) -
     return float(sum(rate_vec[c] for c in seg.region_cells[region_id]))
 
 
+def _check_table_cells(grid: Grid, travel: TravelModel, rates: RateModel) -> None:
+    n = grid.n_cells
+    if travel.n_cells != n or rates.n_cells != n:
+        raise ScenarioError(f"travel and rate tables must cover the grid's {n} cells")
+
+
 @dataclass(frozen=True)
 class ScenarioWorld:
     """Immutable world: geography plus models, shared read-only by episodes."""
@@ -312,9 +318,8 @@ class ScenarioWorld:
     def __post_init__(self):
         if not self.hospitals:
             raise ScenarioError("scenario needs at least one hospital")
+        _check_table_cells(self.grid, self.travel, self.rates)
         n = self.grid.n_cells
-        if self.travel.n_cells != n or self.rates.n_cells != n:
-            raise ScenarioError(f"travel and rate tables must cover the grid's {n} cells")
         # the simulator's travel lookups are unchecked, so every cell id is checked here
         cells = {p.cell for p in (*self.depots.values(), *self.hospitals.values())}
         if not cells.union(*self.seg.region_cells.values()) <= set(range(n)):
@@ -442,6 +447,7 @@ def world_from_json(doc: dict) -> ScenarioWorld:
     hospitals = {h["id"]: Hospital(h["id"], h["cell"]) for h in doc["hospitals"]}
     travel = TravelModel(doc["travel"]["bucket_duration_s"], np.array(doc["travel"]["matrices"]))
     rates = RateModel(doc["rates"]["bucket_duration_s"], np.array(doc["rates"]["cell_rates_per_hour"]))
+    _check_table_cells(grid, travel, rates)  # segmenting reads the rate table
     seg_doc = doc.get("segmentation")
     if seg_doc and "regions" in seg_doc:
         seg = Segmentation(

@@ -377,6 +377,7 @@ def load_agents(path_dir, world: ScenarioWorld,
     if ddpg is None:
         ddpg = DdpgConfig(**manifest.get("ddpg", {}))
     nets = nn.load_checkpoint(path_dir / "networks.npz")
+    _check_fits(nets, world)
     rng = np.random.default_rng(0)
     llp_agents = {g: LlpAgent(g, len(world.region_depots(g)), ddpg, rng)
                   for g in world.seg.region_ids}
@@ -386,6 +387,28 @@ def load_agents(path_dir, world: ScenarioWorld,
         for role in _NETWORK_ROLES:
             setattr(agent, role, nets[f"{prefix}_{role}"])
     return llp_agents, hlp_agent
+
+
+def _check_fits(nets: dict, world: ScenarioWorld) -> None:
+    """Raise ValueError unless the checkpoint holds one region agent per world
+    region, each with one output per depot of its region, and a city agent,
+    if any, with one output per region but the last."""
+    regions = world.seg.region_ids
+    saved = {int(name[3:name.index("_")]) for name in nets if name.startswith("llp")}
+    unmatched = sorted(saved ^ set(regions))
+    if unmatched:
+        g = unmatched[0]
+        raise ValueError(f"region {g} is in the {'checkpoint' if g in saved else 'world'} "
+                         f"only: the checkpoint holds regions {sorted(saved)}, "
+                         f"the world {sorted(regions)}")
+    for g in regions:
+        n, depots = nets[f"llp{g}_actor"].n_outputs, len(world.region_depots(g))
+        if n != depots:
+            raise ValueError(f"region {g}: the checkpoint's actor has {n} outputs, "
+                             f"the region has {depots} depots")
+    if "hlp_actor" in nets and nets["hlp_actor"].n_outputs != len(regions) - 1:
+        raise ValueError(f"the checkpoint's city actor has {nets['hlp_actor'].n_outputs} "
+                         f"outputs, the world's {len(regions)} regions need {len(regions) - 1}")
 
 
 # --- evaluation -------------------------------------------------------------------

@@ -12,12 +12,19 @@ unbatched call uses, so outputs and input gradients are the unbatched bits; a
 flattened (B * n, k) product would not be (a one-row sample takes the gemv
 path). Parameter gradients are shaped like the parameters: summed over every
 leading axis, each weight gradient one contraction over the flattened rows.
+
+A decision runs one forward pass on a few rows, so its cost is per-call
+overhead rather than arithmetic: the layer norm and softmax call the reduce
+ufuncs directly instead of np.mean/np.var/.max/.sum, doing the same IEEE
+operations in the same order (the tests compare the bits). Checkpoints
+(format v2) store every parameter in one float64 vector; see save_checkpoint.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +46,9 @@ _ACTIVATIONS = {
 
 
 def softmax_rows(z: Array) -> Array:
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def softmax_rows_backward(p: Array, dp: Array) -> Array:
@@ -68,6 +76,10 @@ class MlpParams:
     def arrays(self) -> list[Array]:
         return [a for layer in self.layers for a in layer.arrays()]
 
+    @property
+    def n_outputs(self) -> int:
+        return self.layers[-1].w.shape[1]
+
 
 def mlp_init(sizes: list[int], rng: np.random.Generator,
              activations: list[str] | None = None,
@@ -85,7 +97,7 @@ def mlp_init(sizes: list[int], rng: np.random.Generator,
 
 def _t(x: Array) -> Array:
     """Transpose of each sample's matrix."""
-    return np.swapaxes(x, -1, -2)
+    return x.swapaxes(-1, -2)
 
 
 def _rows(x: Array) -> Array:
@@ -105,16 +117,19 @@ def mlp_forward(p: MlpParams, x: Array, train: bool = False,
     layer by layer: the stream B unbatched calls consume in turn."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     *lead, n = x.shape[:-1]
-    widths = [layer.w.shape[1] if train and layer.dropout > 0.0 else 0 for layer in p.layers]
-    if any(widths) and rng is None:
-        raise ValueError("dropout in training mode needs an explicit rng")
-    u = rng.random((int(np.prod(lead)), n * sum(widths))) if any(widths) else None
+    u = None
+    if train and any(layer.dropout > 0.0 for layer in p.layers):
+        if rng is None:
+            raise ValueError("dropout in training mode needs an explicit rng")
+        width = sum(layer.w.shape[1] for layer in p.layers if layer.dropout > 0.0)
+        u = rng.random((int(np.prod(lead)), n * width))
     cache, h, start = [], x, 0
-    for layer, w in zip(p.layers, widths):
+    for layer in p.layers:
         pre = h @ layer.w + layer.b
         act = _ACTIVATIONS[layer.activation][0](pre)
         mask = None
-        if w:
+        if u is not None and layer.dropout > 0.0:
+            w = layer.w.shape[1]
             draw = u[:, start:start + n * w].reshape(*lead, n, w)
             mask = (draw >= layer.dropout) / (1.0 - layer.dropout)
             act = act * mask
@@ -155,10 +170,12 @@ def norm_init(d: int) -> NormParams:
 
 
 def norm_forward(p: NormParams, x: Array) -> tuple[Array, tuple]:
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    """np.mean's and np.var's arithmetic, done once; var and xhat share the centred rows."""
+    n = x.shape[-1]
+    centred = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + _NORM_EPS)
-    xhat = (x - mu) * inv
+    xhat = centred * inv
     return xhat * p.gain + p.bias, (xhat, inv)
 
 
@@ -198,12 +215,12 @@ def mha_init(width: int, n_heads: int, rng: np.random.Generator) -> MhaParams:
 
 def _split_heads(x: Array, h: int) -> Array:
     *lead, n, m = x.shape
-    return np.swapaxes(x.reshape(*lead, n, h, m // h), -3, -2)  # (..., h, n, d)
+    return x.reshape(*lead, n, h, m // h).swapaxes(-3, -2)  # (..., h, n, d)
 
 
 def _merge_heads(x: Array) -> Array:
     *lead, h, n, d = x.shape
-    return np.swapaxes(x, -3, -2).reshape(*lead, n, h * d)
+    return x.swapaxes(-3, -2).reshape(*lead, n, h * d)
 
 
 def mha_forward(p: MhaParams, x: Array) -> tuple[Array, tuple]:
@@ -211,7 +228,7 @@ def mha_forward(p: MhaParams, x: Array) -> tuple[Array, tuple]:
     q = _split_heads(x @ p.wq + p.bq, h)
     k = _split_heads(x @ p.wk + p.bk, h)
     v = _split_heads(x @ p.wv + p.bv, h)
-    scale = 1.0 / np.sqrt(q.shape[-1])
+    scale = 1.0 / math.sqrt(q.shape[-1])
     scores = (q @ _t(k)) * scale
     attn = softmax_rows(scores)
     heads = attn @ v                      # (..., h, n, d)
@@ -378,7 +395,7 @@ def clone(params):
 
 # --- checkpoints ------------------------------------------------------------------
 
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
 
 
 def _describe(params) -> dict:
@@ -415,13 +432,14 @@ def _build(spec: dict):
 
 
 def save_checkpoint(path, named_params: dict) -> None:
+    """An npz of two members: `__meta__`, the JSON description of each named
+    network, and `params`, one float64 vector holding every parameter array,
+    in entry order and then arrays() order."""
     meta = {"version": _CHECKPOINT_VERSION,
             "entries": {name: _describe(p) for name, p in named_params.items()}}
-    payload = {"__meta__": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
-    for name, p in named_params.items():
-        for i, a in enumerate(p.arrays()):
-            payload[f"{name}.{i}"] = a
-    np.savez(path, **payload)
+    arrays = [a.ravel() for p in named_params.values() for a in p.arrays()]
+    np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+             params=np.concatenate(arrays))
 
 
 def load_checkpoint(path) -> dict:
@@ -429,10 +447,14 @@ def load_checkpoint(path) -> dict:
         meta = json.loads(bytes(data["__meta__"]).decode())
         if meta["version"] != _CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta['version']}")
-        out = {}
-        for name, spec in meta["entries"].items():
-            p = _build(spec)
-            for i, a in enumerate(p.arrays()):
-                a[...] = data[f"{name}.{i}"]
-            out[name] = p
+        flat = data["params"]
+    out = {name: _build(spec) for name, spec in meta["entries"].items()}
+    arrays = [a for p in out.values() for a in p.arrays()]
+    total = sum(a.size for a in arrays)
+    if flat.shape != (total,):
+        raise ValueError(f"checkpoint holds {flat.size} parameters, its entries describe {total}")
+    start = 0
+    for a in arrays:
+        a[...] = flat[start:start + a.size].reshape(a.shape)
+        start += a.size
     return out

@@ -307,6 +307,10 @@ def widen_rates(doc):
     return {**doc, "rates": {**doc["rates"], "cell_rates_per_hour": rates}}
 
 
+def widen_rates_and_segment(doc):
+    return {**widen_rates(doc), "segmentation": {"k": 2, "seed": 0}}
+
+
 def shrink_travel(doc):
     mats = [[row[:30] for row in m[:30]] for m in doc["travel"]["matrices"]]
     return {**doc, "travel": {**doc["travel"], "matrices": mats}}
@@ -329,10 +333,10 @@ class TestScenarioCellIds:
     def test_default_city_loads(self, default_city_doc):
         assert geo.world_from_json(default_city_doc).grid.n_cells == 36
 
-    @pytest.mark.parametrize("edit", [widen_rates, shrink_travel, move_hospital(99),
-                                      move_hospital(-1), grow_region],
-                             ids=["rates_41_cells", "travel_30x30", "hospital_99",
-                                  "hospital_negative", "region_cell_36"])
+    @pytest.mark.parametrize("edit", [widen_rates, widen_rates_and_segment, shrink_travel,
+                                      move_hospital(99), move_hospital(-1), grow_region],
+                             ids=["rates_41_cells", "rates_41_cells_kmeans", "travel_30x30",
+                                  "hospital_99", "hospital_negative", "region_cell_36"])
     def test_rejected_at_load(self, default_city_doc, edit):
         with pytest.raises(geo.ScenarioError):
             geo.world_from_json(edit(default_city_doc))

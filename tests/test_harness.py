@@ -8,7 +8,7 @@ import pytest
 from conftest import two_region_world
 
 from ermrl import harness, sim
-from ermrl.agents import DdpgConfig, LlpAgent
+from ermrl.agents import DdpgConfig, HlpAgent, LlpAgent
 from ermrl.baselines import MctsConfig
 
 
@@ -138,6 +138,48 @@ class TestTrainingPipeline:
         for a, b in zip(hlp.critic.arrays(), loaded_hlp.critic.arrays()):
             assert np.array_equal(a, b)
         assert json.loads((tmp_path / "manifest.json").read_text())["episodes_llp"] == 1
+
+
+def save_untrained(path, world, llp_depots=None, hlp_regions=None):
+    """Untrained agents shaped for world, with optional wrong shapes:
+    {region: depot count} overrides and a city agent for hlp_regions regions."""
+    cfg, rng = DdpgConfig(), np.random.default_rng(0)
+    depots = {g: len(world.region_depots(g)) for g in world.seg.region_ids}
+    depots.update(llp_depots or {})
+    llp = {g: LlpAgent(g, n, cfg, rng) for g, n in depots.items()}
+    hlp = HlpAgent(hlp_regions or len(depots), cfg, rng)
+    harness.save_agents(path, llp, hlp, {})
+
+
+class TestCheckpointFitsWorld:
+    # the benchmark's metro city: 5 regions of 9/10/6/3/8 depots, against 5/3
+    METRO = harness.ScenarioParams(nx=25, ny=25, n_depots=36, n_hospitals=6,
+                                   n_regions=5, citywide_rate_per_hour=6.0)
+
+    @pytest.fixture(scope="class")
+    def cities(self):
+        return {"metro": harness.generate_scenario(self.METRO, 7),
+                "default": harness.generate_scenario(harness.ScenarioParams(), 7)}
+
+    @pytest.mark.parametrize("saved, loaded, message", [
+        ("metro", "default", "region 2 is in the checkpoint only"),
+        ("default", "metro", "region 2 is in the world only"),
+    ], ids=["metro_on_default", "default_on_metro"])
+    def test_other_city_rejected(self, cities, tmp_path, saved, loaded, message):
+        save_untrained(tmp_path, cities[saved])
+        harness.load_agents(tmp_path, cities[saved])
+        with pytest.raises(ValueError, match=message):
+            harness.load_agents(tmp_path, cities[loaded])
+
+    @pytest.mark.parametrize("shapes, message", [
+        ({"llp_depots": {1: 3}}, "region 1: the checkpoint's actor has 3 outputs"),
+        ({"hlp_regions": 3}, "city actor has 2 outputs, the world's 2 regions need 1"),
+    ], ids=["region_depots", "city_regions"])
+    def test_wrong_output_count_rejected(self, tmp_path, shapes, message):
+        world = two_region_world()
+        save_untrained(tmp_path, world, **shapes)
+        with pytest.raises(ValueError, match=message):
+            harness.load_agents(tmp_path, world)
 
 
 class TestEvaluation:

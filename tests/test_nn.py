@@ -1,5 +1,10 @@
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ermrl import nn
 
@@ -280,13 +285,19 @@ class TestTargets:
 
 
 class TestCheckpoint:
-    def test_round_trip_exact(self, tmp_path):
+    @staticmethod
+    def nets():
         rng = np.random.default_rng(16)
         actor = nn.trxl_init(8, 4, rng, n_heads=2, n_layers=2, inner_sizes=(16,),
                              inner_dropout=0.1)
         critic = nn.mlp_init([12, 64, 1], rng, dropouts=[0.1, 0.0])
+        return {"actor": actor, "critic": critic}
+
+    def test_round_trip_exact(self, tmp_path):
+        nets = self.nets()
+        actor, critic = nets["actor"], nets["critic"]
         path = tmp_path / "ckpt.npz"
-        nn.save_checkpoint(path, {"actor": actor, "critic": critic})
+        nn.save_checkpoint(path, nets)
         loaded = nn.load_checkpoint(path)
         for a, b in zip(actor.arrays(), loaded["actor"].arrays()):
             assert np.array_equal(a, b)
@@ -294,6 +305,35 @@ class TestCheckpoint:
             assert np.array_equal(a, b)
         assert loaded["critic"].layers[0].dropout == 0.1
         assert loaded["actor"].layers[0].mha.n_heads == 2
+
+    def test_file_holds_meta_and_one_vector(self, tmp_path):
+        nets = self.nets()
+        path = tmp_path / "ckpt.npz"
+        nn.save_checkpoint(path, nets)
+        with np.load(path) as data:
+            assert sorted(data.files) == ["__meta__", "params"]
+            flat = data["params"]
+        want = np.concatenate([a.ravel() for p in nets.values() for a in p.arrays()])
+        assert flat.dtype == np.float64 and np.array_equal(flat, want)
+
+    def test_v1_layout_rejected(self, tmp_path):
+        # version 1 stored each array as its own member "<entry>.<index>"
+        critic = self.nets()["critic"]
+        meta = {"version": 1, "entries": {"critic": nn._describe(critic)}}
+        path = tmp_path / "v1.npz"
+        np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+                 **{f"critic.{i}": a for i, a in enumerate(critic.arrays())})
+        with pytest.raises(ValueError, match="unsupported checkpoint version"):
+            nn.load_checkpoint(path)
+
+    def test_short_vector_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.npz"
+        nn.save_checkpoint(path, self.nets())
+        with np.load(path) as data:
+            meta, flat = data["__meta__"], data["params"]
+        np.savez(path, __meta__=meta, params=flat[:-1])
+        with pytest.raises(ValueError, match="parameters"):
+            nn.load_checkpoint(path)
 
 
 class TestBatchAxis:
@@ -343,3 +383,59 @@ class TestBatchAxis:
             assert np.array_equal(probs[b], probs_b) and np.array_equal(dx[b], dx_b)
             singles.append(g_b)
         self.assert_sum_of(grads, singles)
+
+
+# --- oracle: the forward pass against numpy's own mean, var, max and sum ---------
+
+def reference_norm_forward(p, x):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + nn._NORM_EPS)
+    xhat = (x - mu) * inv
+    return xhat * p.gain + p.bias, (xhat, inv)
+
+
+def reference_softmax_rows(z):
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+@st.composite
+def trxl_cases(draw):
+    width = draw(st.integers(2, 20))
+    rows = draw(st.integers(1, 10))
+    batch = draw(st.one_of(st.none(), st.integers(1, 3)))
+    scale = draw(st.floats(1e-3, 1e3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    p = nn.trxl_init(width, draw(st.integers(1, 10)), rng,
+                     n_heads=draw(st.sampled_from([h for h in (1, 2) if width % h == 0])),
+                     n_layers=draw(st.integers(1, 2)), inner_sizes=(8,))
+    shape = (rows, width) if batch is None else (batch, rows, width)
+    return p, scale * rng.normal(size=shape), rng.normal(size=shape[:-1] + (p.n_outputs,))
+
+
+class TestForwardOracle:
+    """The layer norm and softmax give numpy's mean/var/max/sum bits, so the
+    whole forward pass, its caches and the gradients built from them are the
+    reference's bit for bit."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(trxl_cases())
+    def test_trxl_matches_reference(self, case):
+        p, x, dprobs = case
+        probs, cache = nn.trxl_forward(p, x)
+        with mock.patch.object(nn, "norm_forward", reference_norm_forward), \
+                mock.patch.object(nn, "softmax_rows", reference_softmax_rows):
+            ref_probs, ref_cache = nn.trxl_forward(p, x)
+        assert np.array_equal(probs, ref_probs)
+        for layer, ref_layer in zip(cache["layers"], ref_cache["layers"]):
+            for k in (1, 3):  # the two norm caches (xhat, inv)
+                for a, b in zip(layer[k], ref_layer[k]):
+                    assert np.array_equal(a, b)
+            assert np.array_equal(layer[0][4], ref_layer[0][4])  # attention weights
+        dx, grads = nn.trxl_backward(p, cache, dprobs)
+        ref_dx, ref_grads = nn.trxl_backward(p, ref_cache, dprobs)
+        assert np.array_equal(dx, ref_dx)
+        for a, b in zip(grads.arrays(), ref_grads.arrays()):
+            assert np.array_equal(a, b)
