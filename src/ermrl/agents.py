@@ -26,7 +26,6 @@ from .optim import greedy_redistribute, max_weight_match, normalize_hlp
 class DdpgConfig:
     gamma: float = 0.5              # per decision epoch, region agents
     gamma_high: float = 0.95        # city agent; its reward is itself a value estimate
-    hlp_bandit: bool = False        # treat the city problem as a bandit (gamma_high = 0)
     tau: float = 0.005
     batch_size: int = 64
     buffer_capacity: int = 100_000
@@ -35,7 +34,6 @@ class DdpgConfig:
     eps_end: float = 0.01
     eps_decay_episodes: int = 150
     reward_scale_s: float = 600.0
-    normalize_hlp_reward: bool = True
 
     def explore_eps(self, episode: int) -> float:
         if self.eps_decay_episodes <= 0:
@@ -140,9 +138,6 @@ class Transition:
     terminal: bool
 
 
-LlpTransition = HlpTransition = Transition
-
-
 class LlpAgent(DdpgAgent):
     """Region repositioning agent: transformer actor + per-depot critic."""
 
@@ -236,7 +231,7 @@ class HlpAgent(DdpgAgent):
                             activations=acts, dropouts=drops)
         cdrops = [critic_dropout] * len(critic_hidden) + [0.0]
         critic = nn.mlp_init([in_dim + out_dim, *critic_hidden, 1], rng, dropouts=cdrops)
-        super().__init__(actor, critic, cfg, 0.0 if cfg.hlp_bandit else cfg.gamma_high)
+        super().__init__(actor, critic, cfg, cfg.gamma_high)
 
     def act(self, obs: np.ndarray, fleet_size: int, caps: list[int], explore: bool,
             rng: np.random.Generator | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -280,12 +275,11 @@ class HlpAgent(DdpgAgent):
 def hlp_reward(llp_agents: dict[int, LlpAgent],
                observations: dict[int, RegionObservation],
                actions: dict[int, np.ndarray],
-               region_rates: dict[int, float],
-               normalize: bool = True) -> float:
-    """Rate-weighted sum of region critic values for the current allocation.
+               region_rates: dict[int, float]) -> float:
+    """Rate-weighted mean of region critic values for the current allocation.
 
     Normalizing by the total rate keeps the estimate on the critics' scale
-    instead of growing with city-wide demand; disable for the raw weighted sum.
+    instead of growing with city-wide demand.
     """
     total_rate = sum(region_rates.values())
     if total_rate <= 0.0:
@@ -296,7 +290,7 @@ def hlp_reward(llp_agents: dict[int, LlpAgent],
         if lam == 0.0:
             continue
         acc += lam * agent.q_value(observations[g], actions[g])
-    return acc / total_rate if normalize else acc
+    return acc / total_rate
 
 
 def sample_llp_fleet(n_region_depots: int, fleet_ratio: float,

@@ -1,4 +1,4 @@
-"""Command-line entry point: generate | train | eval | compare | noise-sweep | plot."""
+"""Command-line entry point: generate | train | eval | compare | noise-sweep."""
 
 from __future__ import annotations
 
@@ -138,8 +138,7 @@ def _eval_llp(world, agent, region, chain_seed, cfg):
     controller = LlpTrainingController(agent, world, np.random.default_rng(0),
                                        train=False)
     res = run_episode(world, chain, controller,
-                      SimConfig(t_serve_s=cfg.t_serve_s,
-                                idle_timeout_s=cfg.idle_timeout_s),
+                      SimConfig(idle_timeout_s=TriggerPolicy().idle_timeout_s),
                       initial_assignment={i: depots[i] for i in range(fleet)})
     return res.mean_response_s
 
@@ -148,7 +147,7 @@ def _eval_hierarchy(world, llp_agents, hlp_agent, chain_seed, cfg):
     chain = sample_chain(world.rates, cfg.horizon_s, chain_seed)
     controller = learned_controller(world, TriggerPolicy(mode="ours"), llp_agents,
                                     hlp_agent, seed=0)
-    res = run_episode(world, chain, controller, SimConfig(t_serve_s=cfg.t_serve_s),
+    res = run_episode(world, chain, controller, SimConfig(),
                       n_responders=cfg.default_fleet(world))
     return res.mean_response_s
 
@@ -160,7 +159,6 @@ def cmd_eval(args) -> int:
     spec = ExperimentSpec(
         scenario_path=args.scenario, planner=args.planner, out_dir=args.out_dir,
         eval_seeds=_parse_seed_range(args.eval_seeds),
-        train_seeds=_parse_seed_range(args.train_seeds),
         fleet_size=args.fleet, horizon_s=args.horizon_days * 86400.0,
         sigma_rate=args.noise_rate, sigma_time=args.noise_time,
         alpha=args.alpha, mcts=MctsConfig(iteration_limit=args.mcts_iterations,
@@ -214,41 +212,6 @@ def cmd_noise_sweep(args) -> int:
     return 0
 
 
-def cmd_plot(args) -> int:
-    try:
-        import matplotlib
-        matplotlib.use("svg")
-        import matplotlib.pyplot as plt
-    except ImportError as exc:
-        raise ConfigError("plotting needs matplotlib (pip install ermrl[plots])") from exc
-    src = Path(args.input)
-    with open(src, newline="") as f:
-        rows = list(csv.DictReader(f))
-    fig, ax = plt.subplots(figsize=(6, 4))
-    if "episode" in rows[0]:
-        series: dict[str, list[tuple[int, float]]] = {}
-        for r in rows:
-            if not r["mean_response_s"]:
-                continue
-            key = f"{r['phase']}{r['region'] and ' region ' + r['region']}"
-            series.setdefault(key, []).append((int(r["episode"]),
-                                               float(r["mean_response_s"])))
-        for key, pts in sorted(series.items()):
-            pts.sort()
-            ax.plot([p[0] for p in pts], [p[1] for p in pts], label=key)
-        ax.set_xlabel("training episode")
-        ax.legend()
-    else:
-        means = [float(r["mean_response_s"]) for r in rows if r["mean_response_s"]]
-        ax.boxplot(means)
-        ax.set_xticklabels([src.stem])
-    ax.set_ylabel("mean response time [s]")
-    fig.tight_layout()
-    fig.savefig(args.out)
-    print(f"wrote {args.out}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ermrl",
                                 description="responder stationing: simulate, train, evaluate")
@@ -286,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--planner", choices=PLANNERS, default="drl")
     e.add_argument("--checkpoint-dir")
     e.add_argument("--eval-seeds", default="50:60")
-    e.add_argument("--train-seeds", default="0:50")
     e.add_argument("--fleet", type=int, default=None)
     e.add_argument("--horizon-days", type=float, default=11.0)
     e.add_argument("--noise-rate", type=float, default=0.0)
@@ -315,11 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     n.add_argument("--horizon-days", type=float, default=2.0)
     n.add_argument("--workers", type=int, default=1)
     n.set_defaults(func=cmd_noise_sweep)
-
-    pl = sub.add_parser("plot", help="render a curves or summary CSV to SVG")
-    pl.add_argument("--input", required=True)
-    pl.add_argument("--out", required=True)
-    pl.set_defaults(func=cmd_plot)
     return p
 
 

@@ -68,9 +68,9 @@ def square_grid(nx: int, ny: int, cell_size_miles: float = 1.0) -> Grid:
 
 @dataclass(frozen=True)
 class Depot:
+    """A station for one responder."""
     id: int
     cell: int
-    capacity: int = 1
 
 
 @dataclass(frozen=True)
@@ -417,8 +417,7 @@ def world_to_json(world: ScenarioWorld) -> dict:
             "bbox": list(world.grid.bbox),
             "cells": [{"id": c.id, "centroid": list(c.centroid)} for c in world.grid.cells],
         },
-        "depots": [{"id": d.id, "cell": d.cell, "capacity": d.capacity}
-                   for d in world.depots.values()],
+        "depots": [{"id": d.id, "cell": d.cell} for d in world.depots.values()],
         "hospitals": [{"id": h.id, "cell": h.cell} for h in world.hospitals.values()],
         "travel": {
             "bucket_duration_s": world.travel.bucket_duration_s,
@@ -443,7 +442,11 @@ def world_from_json(doc: dict) -> ScenarioWorld:
         g["cell_size_miles"],
         tuple(g["bbox"]),
     )
-    depots = {d["id"]: Depot(d["id"], d["cell"], d.get("capacity", 1)) for d in doc["depots"]}
+    for d in doc["depots"]:
+        if d.get("capacity", 1) != 1:
+            raise ScenarioError(f"depot {d['id']} has capacity {d['capacity']}; "
+                                f"a depot holds one responder")
+    depots = {d["id"]: Depot(d["id"], d["cell"]) for d in doc["depots"]}
     hospitals = {h["id"]: Hospital(h["id"], h["cell"]) for h in doc["hospitals"]}
     travel = TravelModel(doc["travel"]["bucket_duration_s"], np.array(doc["travel"]["matrices"]))
     rates = RateModel(doc["rates"]["bucket_duration_s"], np.array(doc["rates"]["cell_rates_per_hour"]))

@@ -13,15 +13,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import nn
-from .agents import (DdpgConfig, HlpAgent, HlpTransition, LlpAgent,
-                     LlpTransition, hlp_reward, reward_from_response,
-                     sample_hlp_fleet, sample_llp_fleet)
+from .agents import (DdpgConfig, HlpAgent, LlpAgent, Transition, hlp_reward,
+                     reward_from_response, sample_hlp_fleet, sample_llp_fleet)
 from .baselines import BaselineRegionPlanner, MctsConfig
 from .features import NoiseModel, region_observation
 from .geo import ScenarioWorld
@@ -141,8 +140,6 @@ class TrainConfig:
     episodes_hlp: int = 40
     horizon_s: float = 2 * 86400.0
     fleet_size: int | None = None          # city fleet; default scales with depots
-    idle_timeout_s: float = 3600.0
-    t_serve_s: float = 1200.0
     ddpg: DdpgConfig = field(default_factory=DdpgConfig)
     llp_layers: int = 1
     llp_heads: int = 2
@@ -152,7 +149,6 @@ class TrainConfig:
     critic_dropout: float = 0.1
     hlp_hidden: tuple = (256, 64)
     hlp_dropout: float = 0.1
-    min_hlp_interval_s: float = 3600.0
 
     def default_fleet(self, world: ScenarioWorld) -> int:
         return resolve_fleet(world, self.fleet_size)
@@ -166,18 +162,19 @@ def resolve_fleet(world: ScenarioWorld, fleet_size: int | None) -> int:
     return max(1, int(round(0.7 * len(world.depots))))
 
 
-def _learn(agent, transition, train: bool, rng: np.random.Generator,
-           updates: list[dict]) -> None:
-    """Store one transition; when training, take one update step and append
-    its statistics to `updates`."""
+def _learn(agent, transition, rng: np.random.Generator, updates: list[dict]) -> None:
+    """Store one transition, take one update step and append its statistics
+    to `updates`."""
     agent.observe(transition)
-    stats = agent.train_step(rng) if train else None
+    stats = agent.train_step(rng)
     if stats is not None:
         updates.append(stats)
 
 
 class LlpTrainingController:
-    """Single-region training: decision at each incident or hourly lull."""
+    """Single-region training: decision at each incident or hourly lull.
+    With train=False it acts greedily and stores nothing, so evaluating a
+    region agent leaves its replay buffer as it was."""
 
     def __init__(self, agent: LlpAgent, world: ScenarioWorld,
                  rng: np.random.Generator, train: bool = True):
@@ -185,7 +182,7 @@ class LlpTrainingController:
         self.world = world
         self.rng = rng
         self.train = train
-        self.pending = None  # (obs, executed likelihoods)
+        self.pending = None  # (obs, executed likelihoods), only when training
         self.updates: list[dict] = []  # train_step statistics, in order
 
     def begin_episode(self, sim: Simulator):
@@ -205,18 +202,18 @@ class LlpTrainingController:
     def _epoch(self, sim: Simulator, reward: float | None):
         obs = region_observation(sim.responders, self.agent.region, sim.now, self.world)
         if self.pending is not None and reward is not None:
-            _learn(self.agent, LlpTransition(*self.pending, reward, obs, False),
-                   self.train, self.rng, self.updates)
+            _learn(self.agent, Transition(*self.pending, reward, obs, False), self.rng,
+                   self.updates)
         likelihoods, assignment = self.agent.act(obs, explore=self.train, rng=self.rng)
         sim.apply_depot_moves(assignment)
-        self.pending = (obs, likelihoods)
+        if self.train:
+            self.pending = (obs, likelihoods)
 
     def end_episode(self, sim: Simulator):
         if self.pending is None:
             return
         obs = region_observation(sim.responders, self.agent.region, sim.now, self.world)
-        _learn(self.agent, LlpTransition(*self.pending, 0.0, obs, True), self.train, self.rng,
-               self.updates)
+        _learn(self.agent, Transition(*self.pending, 0.0, obs, True), self.rng, self.updates)
         self.pending = None
 
 
@@ -238,7 +235,7 @@ def train_llp_agent(world: ScenarioWorld, region: int, cfg: TrainConfig,
                          critic_dropout=cfg.critic_dropout)
     cells = set(world.seg.region_cells[region])
     fleet_ratio = cfg.default_fleet(world) / len(world.depots)
-    sim_cfg = SimConfig(t_serve_s=cfg.t_serve_s, idle_timeout_s=cfg.idle_timeout_s)
+    sim_cfg = SimConfig(idle_timeout_s=TriggerPolicy().idle_timeout_s)
     for episode in range(cfg.episodes_llp):
         chain_seed = train_seeds[episode % len(train_seeds)]
         chain = filter_chain(sample_chain(world.rates, cfg.horizon_s, chain_seed), cells)
@@ -259,12 +256,11 @@ class HlpTrainer:
     region critics, evaluated on the post-redistribution configuration."""
 
     def __init__(self, hlp_agent: HlpAgent, llp_agents: dict[int, LlpAgent],
-                 world: ScenarioWorld, rng: np.random.Generator, train: bool = True):
+                 world: ScenarioWorld, rng: np.random.Generator):
         self.agent = hlp_agent
         self.llp_agents = llp_agents
         self.world = world
         self.rng = rng
-        self.train = train
         self.pending = None  # (obs, a_h, reward)
         self._open = None    # (obs, a_h) of the cycle in progress
         self.updates: list[dict] = []  # train_step statistics, in order
@@ -272,10 +268,9 @@ class HlpTrainer:
     def plan_counts(self, sim: Simulator, rng) -> dict[int, int]:
         obs = city_observation(sim)
         if self.pending is not None:
-            _learn(self.agent, HlpTransition(*self.pending, obs, False), self.train, self.rng,
-                   self.updates)
+            _learn(self.agent, Transition(*self.pending, obs, False), self.rng, self.updates)
             self.pending = None
-        a_h, counts = city_decision(self.agent, obs, sim, self.train, self.rng)
+        a_h, counts = city_decision(self.agent, obs, sim, explore=True, rng=self.rng)
         self._open = (obs, a_h)
         return counts
 
@@ -296,16 +291,15 @@ class HlpTrainer:
                 likelihoods = np.zeros((0, r_obs.n_depots))
             region_actions[g] = likelihoods
         reward = hlp_reward(self.llp_agents, region_obs, region_actions,
-                            world.region_rates(sim.now),
-                            normalize=self.agent.cfg.normalize_hlp_reward)
+                            world.region_rates(sim.now))
         self.pending = (obs, a_h, reward)
 
     def end_episode(self, sim: Simulator):
         if self.pending is None:
             return
         # the terminal transition repeats its own observation as the next one
-        _learn(self.agent, HlpTransition(*self.pending, self.pending[0], True),
-               self.train, self.rng, self.updates)
+        _learn(self.agent, Transition(*self.pending, self.pending[0], True), self.rng,
+               self.updates)
         self.pending = None
 
 
@@ -322,7 +316,6 @@ def train_hlp_agent(world: ScenarioWorld, llp_agents: dict[int, LlpAgent],
                          actor_hidden=cfg.hlp_hidden, actor_dropout=cfg.hlp_dropout,
                          critic_hidden=cfg.critic_hidden,
                          critic_dropout=cfg.critic_dropout)
-    sim_cfg = SimConfig(t_serve_s=cfg.t_serve_s)
     center = cfg.default_fleet(world)
     caps_total = sum(world.region_caps().values())
     for episode in range(cfg.episodes_hlp):
@@ -332,12 +325,11 @@ def train_hlp_agent(world: ScenarioWorld, llp_agents: dict[int, LlpAgent],
         agent.explore_eps = cfg.ddpg.explore_eps(episode)
         trainer = HlpTrainer(agent, llp_agents, world, run_rng)
         planner = DdpgPlanner(llp_agents)
-        controller = HierarchyController(
-            world, TriggerPolicy(mode="ours", min_hlp_interval_s=cfg.min_hlp_interval_s),
-            planner, hlp_planner=trainer)
+        controller = HierarchyController(world, TriggerPolicy(mode="ours"), planner,
+                                         hlp_planner=trainer)
         controller.hlp_cycle_hook = trainer.record_cycle
         controller.episode_end_hook = trainer.end_episode
-        run_episode(world, chain, controller, sim_cfg, n_responders=fleet)
+        run_episode(world, chain, controller, SimConfig(), n_responders=fleet)
         if episode_hook is not None:
             episode_hook(episode, agent, trainer.updates)
     return agent
@@ -369,13 +361,20 @@ def save_agents(path_dir, llp_agents: dict[int, LlpAgent],
         json.dump(manifest, f, indent=2)
 
 
-def load_agents(path_dir, world: ScenarioWorld,
-                ddpg: DdpgConfig | None = None) -> tuple[dict[int, LlpAgent], HlpAgent | None]:
+def _read_manifest(path_dir) -> dict:
+    with open(Path(path_dir) / "manifest.json") as f:
+        return json.load(f)
+
+
+def load_agents(path_dir, world: ScenarioWorld) -> tuple[dict[int, LlpAgent], HlpAgent | None]:
+    """The checkpoint's agents, built with the DDPG settings its manifest
+    records; a setting DdpgConfig does not have is a ValueError."""
     path_dir = Path(path_dir)
-    with open(path_dir / "manifest.json") as f:
-        manifest = json.load(f)
-    if ddpg is None:
-        ddpg = DdpgConfig(**manifest.get("ddpg", {}))
+    settings = _read_manifest(path_dir).get("ddpg", {})
+    unknown = sorted(set(settings) - {f.name for f in fields(DdpgConfig)})
+    if unknown:
+        raise ValueError(f"the checkpoint's manifest names unknown DDPG settings {unknown}")
+    ddpg = DdpgConfig(**settings)
     nets = nn.load_checkpoint(path_dir / "networks.npz")
     _check_fits(nets, world)
     rng = np.random.default_rng(0)
@@ -418,7 +417,6 @@ class ExperimentSpec:
     scenario_path: str
     planner: str                    # drl | mcts | pmedian | greedy | static | random
     out_dir: str
-    train_seeds: tuple[int, ...] = tuple(range(50))
     eval_seeds: tuple[int, ...] = tuple(range(50, 60))
     fleet_size: int | None = None   # default: resolve_fleet
     horizon_s: float = 11 * 86400.0
@@ -427,10 +425,6 @@ class ExperimentSpec:
     alpha: float = 1.0
     mcts: MctsConfig = field(default_factory=MctsConfig)
     seed: int = 0
-
-    def __post_init__(self):
-        if set(self.train_seeds) & set(self.eval_seeds):
-            raise ValueError("train and eval chain seeds must be disjoint")
 
 
 def build_controller(spec: ExperimentSpec, world: ScenarioWorld,
@@ -459,6 +453,15 @@ class ChainRecord:
 
 def evaluate_spec(spec: ExperimentSpec, world: ScenarioWorld,
                   checkpoint_dir=None, workers: int = 1) -> list[ChainRecord]:
+    """One record per eval chain. A trained planner is first checked against
+    the training chains its checkpoint's manifest records, if any: a shared
+    chain is a ValueError, raised before anything is written."""
+    if spec.planner == "drl":
+        trained = set(_read_manifest(checkpoint_dir).get("train_seeds", ()))
+        shared = sorted(trained & set(spec.eval_seeds))
+        if shared:
+            raise ValueError(f"eval chains {shared} are among the checkpoint's "
+                             f"training chains")
     args = [(spec, world, checkpoint_dir, s) for s in spec.eval_seeds]
     if workers > 1:
         import multiprocessing as mp

@@ -365,7 +365,7 @@ def trained_toy_hierarchy():
     world = toy_hierarchy_world()
     cfg = TrainConfig(
         episodes_llp=120, episodes_hlp=150, horizon_s=86400.0, fleet_size=3,
-        ddpg=DdpgConfig(batch_size=64, eps_decay_episodes=90, hlp_bandit=True),
+        ddpg=DdpgConfig(batch_size=64, eps_decay_episodes=90, gamma_high=0.0),
         llp_inner=(16,), critic_hidden=(32,), critic_dropout=0.1,
         hlp_hidden=(32, 16), hlp_dropout=0.0)
     t0 = time.perf_counter()

@@ -101,8 +101,8 @@ class TestLlpTraining:
                                 critic_dropout=0.0)
         obs = make_obs([[0.0, 0.3], [0.2, 0.0]], [0.4, 0.8])
         action = np.array([[0.9, 0.1], [0.2, 0.8]])
-        tr = agents.LlpTransition(obs, action, reward,
-                                  obs if next_obs is None else next_obs, terminal)
+        tr = agents.Transition(obs, action, reward,
+                               obs if next_obs is None else next_obs, terminal)
         for _ in range(cfg.batch_size):
             agent.observe(tr)
         return agent, obs, action, tr
@@ -201,8 +201,7 @@ class TestHlpAgent:
             assert counts.sum() == 3
             assert np.all(counts <= [2, 2])
 
-    @pytest.mark.parametrize("cfg_kw", [dict(gamma=0.9, gamma_high=0.0),
-                                        dict(gamma=0.9, hlp_bandit=True)])
+    @pytest.mark.parametrize("cfg_kw", [dict(gamma=0.9, gamma_high=0.0)])
     def test_city_discount_sets_the_target(self, cfg_kw):
         # the region discount (0.9) would bootstrap Q toward 10x the reward
         cfg = small_cfg(**cfg_kw)
@@ -212,7 +211,7 @@ class TestHlpAgent:
         obs = np.array([0.8, 0.5, 0.2, 0.5])
         action = np.array([1.2])
         for _ in range(cfg.batch_size):
-            agent.observe(agents.HlpTransition(obs, action, -0.4, obs, False))
+            agent.observe(agents.Transition(obs, action, -0.4, obs, False))
         rng = np.random.default_rng(16)
         for _ in range(400):
             agent.train_step(rng)
@@ -222,7 +221,7 @@ class TestHlpAgent:
         agent = agents.HlpAgent(1, small_cfg(), np.random.default_rng(10))
         obs = np.array([1.0, 0.5])
         for _ in range(4):
-            agent.observe(agents.HlpTransition(obs, np.zeros(0), -0.4, obs, False))
+            agent.observe(agents.Transition(obs, np.zeros(0), -0.4, obs, False))
         assert agent.train_step(np.random.default_rng(0)) is None
 
     def test_train_step_reduces_loss_on_fixed_transition(self):
@@ -231,7 +230,7 @@ class TestHlpAgent:
                                 actor_hidden=(16,), actor_dropout=0.0,
                                 critic_hidden=(16,), critic_dropout=0.0)
         obs = np.array([0.8, 0.5, 0.2, 0.5])
-        tr = agents.HlpTransition(obs, np.array([1.2]), -0.4, obs, False)
+        tr = agents.Transition(obs, np.array([1.2]), -0.4, obs, False)
         for _ in range(cfg.batch_size):
             agent.observe(tr)
         rng = np.random.default_rng(16)
@@ -273,15 +272,6 @@ class TestHlpReward:
         out = agents.hlp_reward({0: agent}, {0: obs}, {0: np.array([[0.5, 0.5]])},
                                 {0: 0.0})
         assert out == 0.0
-
-    def test_unnormalized_weighted_sum(self):
-        a0 = self._constant_critic_agent(-100.0)
-        a1 = self._constant_critic_agent(-300.0)
-        obs = make_obs([[0.0, 0.1]], [0.2, 0.3])
-        act = np.array([[0.5, 0.5]])
-        out = agents.hlp_reward({0: a0, 1: a1}, {0: obs, 1: obs},
-                                {0: act, 1: act}, {0: 2.0, 1: 1.0}, normalize=False)
-        assert out == pytest.approx(-500.0)
 
     def test_linear_in_each_critic(self):
         obs = make_obs([[0.0, 0.1]], [0.2, 0.3])
@@ -417,8 +407,8 @@ def _llp_agent_with_buffer(seed, n_counts, actor_dropout=0.0):
         obs = _random_region_obs(rng, d, int(rng.choice(n_counts)))
         action = rng.dirichlet(np.ones(d), size=obs.n_responders)
         next_obs = _random_region_obs(rng, d, int(rng.integers(0, d + 1)))
-        agent.observe(agents.LlpTransition(obs, action, float(rng.normal()), next_obs,
-                                           bool(rng.random() < 0.25)))
+        agent.observe(agents.Transition(obs, action, float(rng.normal()), next_obs,
+                                        bool(rng.random() < 0.25)))
     return agent
 
 
@@ -428,9 +418,9 @@ def _hlp_agent_with_buffer(seed):
                             critic_hidden=(8,))
     for _ in range(30):
         obs, next_obs = rng.uniform(0.0, 1.0, size=(2, 6))
-        agent.observe(agents.HlpTransition(obs, rng.uniform(0.1, 2.0, size=2),
-                                           float(rng.normal()), next_obs,
-                                           bool(rng.random() < 0.25)))
+        agent.observe(agents.Transition(obs, rng.uniform(0.1, 2.0, size=2),
+                                        float(rng.normal()), next_obs,
+                                        bool(rng.random() < 0.25)))
     return agent
 
 

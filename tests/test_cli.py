@@ -4,6 +4,9 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from ermrl import cli
 from ermrl.agents import DdpgConfig
 from ermrl.cli import main
@@ -114,3 +117,74 @@ def test_train_logs_one_row_per_update(tmp_path, monkeypatch):
         assert eps == sorted(eps, reverse=True) and 0.0 < eps[-1] <= 0.3
         assert all(math.isfinite(float(r[k])) for r in mine for k in ("critic_loss", "actor_q"))
         assert all(float(r["critic_loss"]) >= 0.0 for r in mine)
+
+
+def tiny_scenario(tmp_path):
+    scenario = tmp_path / "scenario.json"
+    assert main(["generate", "--out", str(scenario), "--seed", "3",
+                 "--nx", "3", "--ny", "2", "--depots", "2", "--hospitals", "1",
+                 "--regions", "1", "--rate", "2.0"]) == 0
+    return scenario
+
+
+def train_tiny(scenario, out, train_seeds, eval_seeds):
+    assert main(["train", "--scenario", str(scenario), "--out-dir", str(out),
+                 "--seed", "1", "--episodes-llp", "1", "--episodes-hlp", "0",
+                 "--horizon-days", "0.1", "--fleet", "1", "--train-seeds", train_seeds,
+                 "--eval-seeds", eval_seeds, "--curve-every", "0"]) == 0
+
+
+@pytest.mark.parametrize("command", ["eval", "noise-sweep"])
+def test_eval_checks_the_checkpoints_training_chains(tmp_path, command):
+    scenario = tiny_scenario(tmp_path)
+    train_tiny(scenario, tmp_path / "ckpt_0_60", "0:60", "60:61")
+    train_tiny(scenario, tmp_path / "ckpt_100_150", "100:150", "0:1")
+    extra = ["--sigmas", "0"] if command == "noise-sweep" else []
+
+    def run(ckpt, out, *seeds):
+        return main([command, "--scenario", str(scenario), "--checkpoint-dir", str(ckpt),
+                     "--out-dir", str(out), "--seed", "5", "--fleet", "1",
+                     "--horizon-days", "0.1", *seeds, *extra])
+
+    # the default eval chains 50-59 were trained on
+    assert run(tmp_path / "ckpt_0_60", tmp_path / "overlap") == 2
+    assert not (tmp_path / "overlap").exists()
+    assert run(tmp_path / "ckpt_100_150", tmp_path / "disjoint", "--eval-seeds", "0:2") == 0
+    assert (tmp_path / "disjoint").exists()
+
+
+def test_unknown_ddpg_setting_in_manifest_is_a_config_error(tmp_path, capsys):
+    scenario = tiny_scenario(tmp_path)
+    ckpt = tmp_path / "ckpt"
+    train_tiny(scenario, ckpt, "0:2", "50:51")
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    # a setting DdpgConfig has dropped, and one it never had
+    manifest["ddpg"].update(hlp_bandit=False, no_such_setting=1)
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["eval", "--scenario", str(scenario), "--checkpoint-dir", str(ckpt),
+                 "--out-dir", str(tmp_path / "run"), "--seed", "5", "--fleet", "1",
+                 "--eval-seeds", "50:51", "--horizon-days", "0.1"]) == 2
+    assert "['hlp_bandit', 'no_such_setting']" in capsys.readouterr().err
+
+
+def test_learning_curves_leave_training_unchanged(tmp_path, monkeypatch):
+    # a batch of 8 lets a short run update; the curve evaluations run between updates
+    monkeypatch.setattr(cli, "DdpgConfig", functools.partial(DdpgConfig, batch_size=8))
+    scenario = tmp_path / "scenario.json"
+    assert main(["generate", "--out", str(scenario), "--seed", "3",
+                 "--nx", "4", "--ny", "4", "--depots", "5", "--hospitals", "1",
+                 "--regions", "2", "--rate", "4.0"]) == 0
+    outs = []
+    for every in ("1", "0"):
+        out = tmp_path / f"curve_every_{every}"
+        assert main(["train", "--scenario", str(scenario), "--out-dir", str(out),
+                     "--seed", "1", "--episodes-llp", "3", "--episodes-hlp", "2",
+                     "--horizon-days", "1", "--fleet", "3", "--train-seeds", "0:2",
+                     "--eval-seeds", "50:51", "--curve-every", every]) == 0
+        outs.append(out)
+    with_curves, without = outs
+    assert (with_curves / "curves.csv").read_text().count("\n") > 1
+    assert ((with_curves / "train_log.csv").read_bytes()
+            == (without / "train_log.csv").read_bytes())
+    with np.load(with_curves / "networks.npz") as a, np.load(without / "networks.npz") as b:
+        assert np.array_equal(a["params"], b["params"])

@@ -323,6 +323,13 @@ def move_hospital(cell):
     return edit
 
 
+def depot_capacity(capacity):
+    def edit(doc):
+        return {**doc, "depots": [{**doc["depots"][0], "capacity": capacity},
+                                  *doc["depots"][1:]]}
+    return edit
+
+
 def grow_region(doc):
     regions = dict(doc["segmentation"]["regions"])
     regions["0"] = regions["0"] + [36]
@@ -332,11 +339,16 @@ def grow_region(doc):
 class TestScenarioCellIds:
     def test_default_city_loads(self, default_city_doc):
         assert geo.world_from_json(default_city_doc).grid.n_cells == 36
+        # files written before depots lost the field name capacity 1
+        assert geo.world_from_json(depot_capacity(1)(default_city_doc)).depots == \
+            geo.world_from_json(default_city_doc).depots
 
     @pytest.mark.parametrize("edit", [widen_rates, widen_rates_and_segment, shrink_travel,
-                                      move_hospital(99), move_hospital(-1), grow_region],
+                                      move_hospital(99), move_hospital(-1), grow_region,
+                                      depot_capacity(2)],
                              ids=["rates_41_cells", "rates_41_cells_kmeans", "travel_30x30",
-                                  "hospital_99", "hospital_negative", "region_cell_36"])
+                                  "hospital_99", "hospital_negative", "region_cell_36",
+                                  "depot_capacity_2"])
     def test_rejected_at_load(self, default_city_doc, edit):
         with pytest.raises(geo.ScenarioError):
             geo.world_from_json(edit(default_city_doc))

@@ -1,6 +1,7 @@
 import csv
 import itertools
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -242,11 +243,20 @@ class TestEvaluation:
                                 for r in harness.evaluate_spec(spec, world, workers=workers)]
             assert out[2] == out[1]
 
-    def test_overlapping_seed_sets_rejected(self):
-        with pytest.raises(ValueError):
-            harness.ExperimentSpec(scenario_path="x", planner="static",
-                                   out_dir="y", train_seeds=(1, 2),
-                                   eval_seeds=(2, 3))
+    def test_eval_chains_must_miss_the_manifests_training_chains(self, tmp_path):
+        world = two_region_world(rates_by_bucket=[[1.0, 0.5, 0.2, 0.1, 0.4, 0.8]])
+        cfg = DdpgConfig()
+        llp_agents = {g: LlpAgent(g, 2, cfg, np.random.default_rng(g)) for g in (0, 1)}
+        harness.save_agents(tmp_path / "ckpt", llp_agents, None, {"train_seeds": [1, 2]})
+        spec = harness.ExperimentSpec(scenario_path="unused", planner="drl",
+                                      out_dir=str(tmp_path / "run"), eval_seeds=(2, 3),
+                                      horizon_s=6 * 3600.0, fleet_size=2)
+        with pytest.raises(ValueError, match=r"eval chains \[2\]"):
+            harness.evaluate_spec(spec, world, tmp_path / "ckpt")
+        assert not (tmp_path / "run").exists()
+        records = harness.evaluate_spec(replace(spec, eval_seeds=(3,)), world,
+                                        tmp_path / "ckpt")
+        assert [r.chain_seed for r in records] == [3]
 
     def test_compare_runs_table(self):
         ref = [(0, 100.0), (1, 110.0), (2, 90.0), (3, 105.0)]

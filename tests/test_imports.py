@@ -1,6 +1,8 @@
-"""Every top-level import in the package is used by its module."""
+"""Every top-level import in the package is used by its module, and every
+import, at any depth, comes from the standard library, numpy or the package."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 import ermrl
 
 PACKAGE_DIR = Path(ermrl.__file__).parent
+ALLOWED_ROOTS = set(sys.stdlib_module_names) | {"numpy", "ermrl"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -45,3 +48,31 @@ def test_detector_accepts_attribute_use_and_reexports():
 @pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Packages imported anywhere in the module, inside functions too, that
+    are neither the standard library, numpy nor ermrl; relative imports are
+    ermrl's own."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{name.split('.')[0]} (line {node.lineno})" for name in names
+                  if name.split(".")[0] not in ALLOWED_ROOTS]
+    return found
+
+
+def test_guard_flags_imports_inside_functions():
+    src = ("import os\nfrom . import nn\n\ndef f():\n"
+           "    import matplotlib.pyplot as plt\n    from scipy import stats\n")
+    assert foreign_imports(src) == ["matplotlib (line 5)", "scipy (line 6)"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_only_numpy_beyond_the_standard_library(path):
+    assert foreign_imports(path.read_text()) == []
