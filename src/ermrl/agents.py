@@ -58,9 +58,6 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return len(self._items)
 
-    def __iter__(self):
-        return iter(self._items)
-
 
 class DdpgAgent:
     """Actor, critic, their target copies, Adam states and replay, with the

@@ -21,17 +21,18 @@ from .optim import _hungarian_min
 from .sim import Simulator
 
 
+ROLLOUT_DISCOUNT = 0.99995  # per second of simulated time
+UCT_C = 1.44
+
+
 @dataclass(frozen=True)
 class MctsConfig:
     iteration_limit: int = 1000
-    discount: float = 0.99995      # per second of simulated time
-    uct_c: float = 1.44
     n_samples: int = 50
     rollout_horizon_s: float = 24 * 3600.0  # one full daily demand cycle
 
     def __post_init__(self):
-        if min(self.iteration_limit, self.discount, self.uct_c,
-               self.n_samples, self.rollout_horizon_s) <= 0:
+        if min(self.iteration_limit, self.n_samples, self.rollout_horizon_s) <= 0:
             raise ValueError("all search parameters must be positive")
 
 
@@ -57,8 +58,7 @@ def _sample_future(world: ScenarioWorld, cells: list[int], t0: float,
 
 
 def _rollout_value(ready: dict[int, tuple[float, int]], future: list[tuple[float, int]],
-                   world: ScenarioWorld, t0: float, t_serve_s: float,
-                   cfg: MctsConfig) -> float:
+                   world: ScenarioWorld, t0: float, t_serve_s: float) -> float:
     """Negative discounted response-time sum under greedy dispatch, no replanning."""
     ready = dict(ready)
     total = 0.0
@@ -81,7 +81,7 @@ def _rollout_value(ready: dict[int, tuple[float, int]], future: list[tuple[float
         depot = ready[best_rid][1]
         back = avail + world.travel.travel_time(h_cell, world.depots[depot].cell, avail)
         ready[best_rid] = (back, depot)
-        total += (cfg.discount ** (t_i - t0)) * best_resp
+        total += (ROLLOUT_DISCOUNT ** (t_i - t0)) * best_resp
     return -total
 
 
@@ -122,7 +122,7 @@ def mcts_plan(sim: Simulator, region: int, cfg: MctsConfig,
     def evaluate(assignment: dict[int, int]) -> float:
         ready = {rid: (t0 + eta[rid][d], d) for rid, d in assignment.items()}
         future = futures[int(rng.integers(len(futures)))]
-        return _rollout_value(ready, future, world, t0, t_serve, cfg)
+        return _rollout_value(ready, future, world, t0, t_serve)
 
     root_assignment = {rid: sim.responders[rid].depot for rid in member_ids}
     root = _Node(root_assignment, frozenset(), depot_ids)
@@ -136,7 +136,7 @@ def mcts_plan(sim: Simulator, region: int, cfg: MctsConfig,
             best, best_score = None, None
             for action, child in node.children:
                 score = (child.value / child.visits / scale
-                         + cfg.uct_c * math.sqrt(log_n / child.visits))
+                         + UCT_C * math.sqrt(log_n / child.visits))
                 if best_score is None or score > best_score:
                     best, best_score = child, score
             node = best
@@ -279,7 +279,7 @@ class BaselineRegionPlanner:
 
     def __init__(self, kind: str, mcts_cfg: MctsConfig | None = None,
                  alpha: float = 1.0):
-        if kind not in ("mcts", "pmedian", "greedy", "random", "static"):
+        if kind not in ("mcts", "pmedian", "greedy", "random"):
             raise ValueError(f"unknown baseline {kind}")
         self.kind = kind
         self.mcts_cfg = mcts_cfg or MctsConfig()
@@ -292,6 +292,4 @@ class BaselineRegionPlanner:
             return pmedian_plan(sim, region, self.alpha)
         if self.kind == "greedy":
             return greedy_plan(sim, region)
-        if self.kind == "random":
-            return random_plan(sim, region, rng)
-        return {}  # static: never repositions
+        return random_plan(sim, region, rng)

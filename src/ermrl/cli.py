@@ -129,16 +129,16 @@ def cmd_train(args) -> int:
 
 
 def _eval_llp(world, agent, region, chain_seed, cfg):
-    from .harness import LlpTrainingController
     cells = set(world.seg.region_cells[region])
     chain = filter_chain(sample_chain(world.rates, cfg.horizon_s, chain_seed), cells)
     depots = world.region_depots(region)
     fleet = max(1, min(len(depots), round(cfg.default_fleet(world)
                                           * len(depots) / len(world.depots))))
-    controller = LlpTrainingController(agent, world, np.random.default_rng(0),
-                                       train=False)
+    # baseline triggers plan at each incident and hourly lull, as in training;
+    # the other regions hold no responders and so are never planned
+    controller = learned_controller(world, TriggerPolicy(mode="baseline"), {region: agent})
     res = run_episode(world, chain, controller,
-                      SimConfig(idle_timeout_s=TriggerPolicy().idle_timeout_s),
+                      SimConfig(idle_timeout_s=controller.trigger.idle_timeout_s),
                       initial_assignment={i: depots[i] for i in range(fleet)})
     return res.mean_response_s
 

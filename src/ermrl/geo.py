@@ -436,30 +436,40 @@ def world_to_json(world: ScenarioWorld) -> dict:
 
 
 def world_from_json(doc: dict) -> ScenarioWorld:
-    g = doc["grid"]
-    grid = Grid(
-        tuple(Cell(c["id"], tuple(c["centroid"])) for c in g["cells"]),
-        g["cell_size_miles"],
-        tuple(g["bbox"]),
-    )
-    for d in doc["depots"]:
-        if d.get("capacity", 1) != 1:
-            raise ScenarioError(f"depot {d['id']} has capacity {d['capacity']}; "
-                                f"a depot holds one responder")
-    depots = {d["id"]: Depot(d["id"], d["cell"]) for d in doc["depots"]}
-    hospitals = {h["id"]: Hospital(h["id"], h["cell"]) for h in doc["hospitals"]}
-    travel = TravelModel(doc["travel"]["bucket_duration_s"], np.array(doc["travel"]["matrices"]))
-    rates = RateModel(doc["rates"]["bucket_duration_s"], np.array(doc["rates"]["cell_rates_per_hour"]))
-    _check_table_cells(grid, travel, rates)  # segmenting reads the rate table
-    seg_doc = doc.get("segmentation")
-    if seg_doc and "regions" in seg_doc:
-        seg = Segmentation(
-            region_cells={int(g_): frozenset(cells) for g_, cells in seg_doc["regions"].items()},
-            depot_regions={int(d): int(r) for d, r in seg_doc["depot_regions"].items()},
+    """The world a scenario document describes; a missing entry, a depot or
+    hospital id listed twice, or an inconsistent table is a ScenarioError."""
+    try:
+        g = doc["grid"]
+        grid = Grid(
+            tuple(Cell(c["id"], tuple(c["centroid"])) for c in g["cells"]),
+            g["cell_size_miles"],
+            tuple(g["bbox"]),
         )
-    else:
-        params = seg_doc or {"k": 1, "seed": 0}
-        seg = kmeans_segment(grid, rates, depots, params["k"], params["seed"])
+        for d in doc["depots"]:
+            if d.get("capacity", 1) != 1:
+                raise ScenarioError(f"depot {d['id']} has capacity {d['capacity']}; "
+                                    f"a depot holds one responder")
+        depots = {d["id"]: Depot(d["id"], d["cell"]) for d in doc["depots"]}
+        hospitals = {h["id"]: Hospital(h["id"], h["cell"]) for h in doc["hospitals"]}
+        for kind, built in (("depot", depots), ("hospital", hospitals)):
+            if len(built) != len(doc[f"{kind}s"]):
+                raise ScenarioError(f"a {kind} id is listed twice")
+        travel = TravelModel(doc["travel"]["bucket_duration_s"],
+                             np.array(doc["travel"]["matrices"]))
+        rates = RateModel(doc["rates"]["bucket_duration_s"],
+                          np.array(doc["rates"]["cell_rates_per_hour"]))
+        _check_table_cells(grid, travel, rates)  # segmenting reads the rate table
+        seg_doc = doc.get("segmentation") or {"k": 1, "seed": 0}
+        if "regions" in seg_doc:
+            seg = Segmentation(
+                region_cells={int(g_): frozenset(cells)
+                              for g_, cells in seg_doc["regions"].items()},
+                depot_regions={int(d): int(r) for d, r in seg_doc["depot_regions"].items()},
+            )
+        else:
+            seg = kmeans_segment(grid, rates, depots, seg_doc["k"], seg_doc["seed"])
+    except KeyError as e:
+        raise ScenarioError(f"the scenario has no {e.args[0]!r} entry") from None
     rate_scale = doc.get("feature_norm", {}).get("rate_per_hour", 0.0)
     return ScenarioWorld(grid, depots, hospitals, travel, rates, seg, rate_scale)
 

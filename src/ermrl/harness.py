@@ -172,21 +172,16 @@ def _learn(agent, transition, rng: np.random.Generator, updates: list[dict]) -> 
 
 
 class LlpTrainingController:
-    """Single-region training: decision at each incident or hourly lull.
-    With train=False it acts greedily and stores nothing, so evaluating a
-    region agent leaves its replay buffer as it was."""
+    """Single-region training: decision at each incident or hourly lull."""
 
-    def __init__(self, agent: LlpAgent, world: ScenarioWorld,
-                 rng: np.random.Generator, train: bool = True):
+    def __init__(self, agent: LlpAgent, world: ScenarioWorld, rng: np.random.Generator):
         self.agent = agent
         self.world = world
         self.rng = rng
-        self.train = train
-        self.pending = None  # (obs, executed likelihoods), only when training
+        self.pending = None  # (obs, executed likelihoods) of the last decision
         self.updates: list[dict] = []  # train_step statistics, in order
 
     def begin_episode(self, sim: Simulator):
-        self.pending = None
         self._epoch(sim, reward=None)
 
     def on_event(self, sim: Simulator, event):
@@ -201,20 +196,16 @@ class LlpTrainingController:
 
     def _epoch(self, sim: Simulator, reward: float | None):
         obs = region_observation(sim.responders, self.agent.region, sim.now, self.world)
-        if self.pending is not None and reward is not None:
+        if reward is not None:
             _learn(self.agent, Transition(*self.pending, reward, obs, False), self.rng,
                    self.updates)
-        likelihoods, assignment = self.agent.act(obs, explore=self.train, rng=self.rng)
+        likelihoods, assignment = self.agent.act(obs, explore=True, rng=self.rng)
         sim.apply_depot_moves(assignment)
-        if self.train:
-            self.pending = (obs, likelihoods)
+        self.pending = (obs, likelihoods)
 
     def end_episode(self, sim: Simulator):
-        if self.pending is None:
-            return
         obs = region_observation(sim.responders, self.agent.region, sim.now, self.world)
         _learn(self.agent, Transition(*self.pending, 0.0, obs, True), self.rng, self.updates)
-        self.pending = None
 
 
 def train_llp_agent(world: ScenarioWorld, region: int, cfg: TrainConfig,
@@ -249,41 +240,46 @@ def train_llp_agent(world: ScenarioWorld, region: int, cfg: TrainConfig,
     return agent
 
 
-class HlpTrainer:
-    """plan_counts adapter that explores, stores transitions, and trains.
+class HlpTrainer(HierarchyController):
+    """The "ours" hierarchy, its own city planner: the city agent explores
+    with run_rng, and each redistribution cycle stores a transition and trains.
 
     The reward for each redistribution is the rate-weighted sum of the frozen
     region critics, evaluated on the post-redistribution configuration."""
 
     def __init__(self, hlp_agent: HlpAgent, llp_agents: dict[int, LlpAgent],
-                 world: ScenarioWorld, rng: np.random.Generator):
+                 world: ScenarioWorld, run_rng: np.random.Generator):
+        super().__init__(world, TriggerPolicy(mode="ours"), DdpgPlanner(llp_agents), self)
         self.agent = hlp_agent
         self.llp_agents = llp_agents
-        self.world = world
-        self.rng = rng
+        self.run_rng = run_rng
         self.pending = None  # (obs, a_h, reward)
         self._open = None    # (obs, a_h) of the cycle in progress
         self.updates: list[dict] = []  # train_step statistics, in order
 
+    def on_event(self, sim: Simulator, event):
+        super().on_event(sim, event)
+        if self._open is not None:
+            self.record_cycle(sim)
+
     def plan_counts(self, sim: Simulator, rng) -> dict[int, int]:
         obs = city_observation(sim)
         if self.pending is not None:
-            _learn(self.agent, Transition(*self.pending, obs, False), self.rng, self.updates)
+            _learn(self.agent, Transition(*self.pending, obs, False), self.run_rng,
+                   self.updates)
             self.pending = None
-        a_h, counts = city_decision(self.agent, obs, sim, explore=True, rng=self.rng)
+        a_h, counts = city_decision(self.agent, obs, sim, explore=True, rng=self.run_rng)
         self._open = (obs, a_h)
         return counts
 
-    def record_cycle(self, sim: Simulator, event):
-        """Called after the redistribution and follow-up region planning."""
-        if self._open is None:
-            return
+    def record_cycle(self, sim: Simulator):
+        """Reward the open cycle once its redistribution and follow-up region
+        planning are done."""
         obs, a_h = self._open
         self._open = None
-        world = self.world
         region_obs, region_actions = {}, {}
         for g, agent in self.llp_agents.items():
-            r_obs = region_observation(sim.responders, g, sim.now, world)
+            r_obs = region_observation(sim.responders, g, sim.now, self.world)
             region_obs[g] = r_obs
             if r_obs.n_responders:
                 likelihoods, _ = nn.trxl_forward(agent.actor, r_obs.actor_features())
@@ -291,14 +287,14 @@ class HlpTrainer:
                 likelihoods = np.zeros((0, r_obs.n_depots))
             region_actions[g] = likelihoods
         reward = hlp_reward(self.llp_agents, region_obs, region_actions,
-                            world.region_rates(sim.now))
+                            self.world.region_rates(sim.now))
         self.pending = (obs, a_h, reward)
 
     def end_episode(self, sim: Simulator):
         if self.pending is None:
             return
         # the terminal transition repeats its own observation as the next one
-        _learn(self.agent, Transition(*self.pending, self.pending[0], True), self.rng,
+        _learn(self.agent, Transition(*self.pending, self.pending[0], True), self.run_rng,
                self.updates)
         self.pending = None
 
@@ -324,12 +320,7 @@ def train_hlp_agent(world: ScenarioWorld, llp_agents: dict[int, LlpAgent],
         fleet = sample_hlp_fleet(center, caps_total, run_rng)
         agent.explore_eps = cfg.ddpg.explore_eps(episode)
         trainer = HlpTrainer(agent, llp_agents, world, run_rng)
-        planner = DdpgPlanner(llp_agents)
-        controller = HierarchyController(world, TriggerPolicy(mode="ours"), planner,
-                                         hlp_planner=trainer)
-        controller.hlp_cycle_hook = trainer.record_cycle
-        controller.episode_end_hook = trainer.end_episode
-        run_episode(world, chain, controller, SimConfig(), n_responders=fleet)
+        run_episode(world, chain, trainer, SimConfig(), n_responders=fleet)
         if episode_hook is not None:
             episode_hook(episode, agent, trainer.updates)
     return agent

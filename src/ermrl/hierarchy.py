@@ -65,8 +65,8 @@ class HierarchyController:
     Region plans reach the simulator through sim.apply_depot_moves and city
     counts through apply_hlp_counts, which calls sim.apply_region_moves.
     decision_latency holds one (level, wall seconds) entry per planner call of
-    the current episode, level "region" or "city". hlp_cycle_hook and
-    episode_end_hook (when set) let city-agent training follow each
+    the current episode, level "region" or "city". City-agent training
+    subclasses the controller (harness.HlpTrainer) to follow each
     redistribution cycle and the episode's end.
     """
 
@@ -78,8 +78,6 @@ class HierarchyController:
         self.hlp_planner = hlp_planner
         self.rng = np.random.default_rng(seed)
         self.decision_latency: list[tuple[str, float]] = []
-        self.hlp_cycle_hook = None   # fires after redistribution + follow-up LLPs
-        self.episode_end_hook = None
         self._last_hlp_t = None
         self._prev_rates: dict[int, float] | None = None
 
@@ -93,8 +91,7 @@ class HierarchyController:
             self._invoke_llp(sim, g)
 
     def end_episode(self, sim: Simulator):
-        if self.episode_end_hook is not None:
-            self.episode_end_hook(sim)
+        """Nothing to close; subclasses that learn finish their episode here."""
 
     def on_event(self, sim: Simulator, event: Event):
         if self.trigger.mode == "ours":
@@ -123,8 +120,6 @@ class HierarchyController:
             if moved:
                 for g in self.world.seg.region_ids:
                     self._invoke_llp(sim, g)
-            if self.hlp_cycle_hook is not None:
-                self.hlp_cycle_hook(sim, event)
 
     def _on_event_baseline(self, sim: Simulator, event: Event):
         if event.kind in ("incident", "idle_tick"):

@@ -14,7 +14,7 @@ from conftest import chain_of, toy_hierarchy_world, toy_llp_world, two_region_wo
 from ermrl import baselines, features, geo, harness, hierarchy, nn, optim, sim
 from ermrl.agents import DdpgConfig
 from ermrl.geo import region_rate
-from ermrl.harness import LlpTrainingController, TrainConfig
+from ermrl.harness import TrainConfig
 
 
 def report(tag: str, ok: bool, detail: str = ""):
@@ -307,17 +307,21 @@ def trained_toy_llp():
     return world, agent, time.perf_counter() - t0
 
 
-class _CountingEval(LlpTrainingController):
-    def __init__(self, agent, world, target_depot):
-        super().__init__(agent, world, np.random.default_rng(0), train=False)
+class _CountingPlanner(hierarchy.DdpgPlanner):
+    """The greedy region planner, counting the plans that put responder 0 on
+    the target depot."""
+
+    def __init__(self, agent, target_depot):
+        super().__init__({0: agent})
         self.target = target_depot
         self.hits = 0
         self.total = 0
 
-    def _epoch(self, simulator, reward):
-        super()._epoch(simulator, reward)
+    def plan_region(self, simulator, region, rng):
+        plan = super().plan_region(simulator, region, rng)
         self.total += 1
-        self.hits += simulator.responders[0].depot == self.target
+        self.hits += plan[0] == self.target
+        return plan
 
 
 class _RandomRegionController:
@@ -339,10 +343,12 @@ def test_criterion_5_toy_region_learning(trained_toy_llp):
     trained_means, random_means = [], []
     for seed in range(500, 520):
         chain = sim.sample_chain(world.rates, 86400.0, seed)
-        ctrl = _CountingEval(agent, world, target_depot=1)
+        planner = _CountingPlanner(agent, target_depot=1)
+        ctrl = hierarchy.HierarchyController(
+            world, hierarchy.TriggerPolicy(mode="baseline"), planner)
         res = sim.run_episode(world, chain, ctrl, sim_cfg, initial_assignment={0: 0})
-        hits += ctrl.hits
-        total += ctrl.total
+        hits += planner.hits
+        total += planner.total
         if res.mean_response_s is not None:
             trained_means.append(res.mean_response_s)
         res_r = sim.run_episode(world, chain, _RandomRegionController(seed), sim_cfg,
@@ -385,6 +391,22 @@ def _hot_region(world, t):
     return 0 if r0 > r1 else 1
 
 
+class _HotRegionCheck(hierarchy.DdpgPlanner):
+    """The greedy planner, recording whether each city plan gives the hot
+    region at least two responders. The controller reaches every plan
+    exactly and keeps each responder in its region when it replans them."""
+
+    def __init__(self, llp_agents, hlp_agent, world):
+        super().__init__(llp_agents, hlp_agent)
+        self.world = world
+        self.checks = []
+
+    def plan_counts(self, simulator, rng):
+        counts = super().plan_counts(simulator, rng)
+        self.checks.append(counts[_hot_region(self.world, simulator.now)] >= 2)
+        return counts
+
+
 def test_criterion_6_toy_hierarchy_learning(trained_toy_hierarchy):
     world, llp_agents, hlp, train_time = trained_toy_hierarchy
     t0 = time.perf_counter()
@@ -392,16 +414,13 @@ def test_criterion_6_toy_hierarchy_learning(trained_toy_hierarchy):
     hier_means, static_means = [], []
     for seed in range(600, 610):
         chain = sim.sample_chain(world.rates, 2 * 86400.0, seed)
-        planner = hierarchy.DdpgPlanner(llp_agents, hlp)
+        planner = _HotRegionCheck(llp_agents, hlp, world)
         ctrl = hierarchy.HierarchyController(
             world, hierarchy.TriggerPolicy(mode="ours"), planner, planner, seed=0)
-        checks = []
-        ctrl.hlp_cycle_hook = lambda s, ev, checks=checks: checks.append(
-            s.region_counts()[_hot_region(world, s.now)] >= 2)
         res = sim.run_episode(world, chain, ctrl, sim.SimConfig(), n_responders=3)
         hier_means.append(res.mean_response_s)
-        shift_ok += sum(checks)
-        shift_total += len(checks)
+        shift_ok += sum(planner.checks)
+        shift_total += len(planner.checks)
         res_static = sim.run_episode(world, chain, None, sim.SimConfig(), n_responders=3)
         static_means.append(res_static.mean_response_s)
     frac = shift_ok / max(shift_total, 1)

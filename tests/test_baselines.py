@@ -143,12 +143,6 @@ class TestGreedy:
 
 
 class TestStaticAndRandom:
-    def test_static_never_moves(self):
-        planner = baselines.BaselineRegionPlanner("static")
-        world = line_world([1.0, 1.0, 1.0], depot_cells=[0, 2])
-        s = fresh_sim(world, {0: 0})
-        assert planner.plan_region(s, 0, np.random.default_rng(0)) == {}
-
     def test_random_assignment_valid(self):
         world = line_world([1.0] * 5, depot_cells=[0, 2, 4])
         s = fresh_sim(world, {0: 0, 1: 1})

@@ -1,4 +1,4 @@
-"""Smoke tests of the benchmark command: one short run of a workload passes
+"""Smoke tests of the benchmark command: one short run of each workload passes
 its output checks. No timing is asserted."""
 
 import json
@@ -6,10 +6,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_passes_its_checks(workload):
+@pytest.mark.parametrize("workload", ["metro-drl", "city-mcts", "city-train"])
+def test_run_passes_its_checks(workload):
+    # city-train also checks the training write path: update counts, finite
+    # losses and parameters, and equal fingerprints across rounds
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", "0",
          "--seconds", "1", "--trace", "0"],
@@ -18,13 +23,3 @@ def run_passes_its_checks(workload):
     assert last["correct"] is True
     assert last["failed"] == 0
     assert last["attempted"] > 0
-
-
-def test_metro_drl_run_passes_its_checks():
-    run_passes_its_checks("metro-drl")
-
-
-def test_city_train_run_passes_its_checks():
-    # the training write path: update counts, finite losses and parameters,
-    # and equal fingerprints across rounds
-    run_passes_its_checks("city-train")

@@ -330,6 +330,16 @@ def depot_capacity(capacity):
     return edit
 
 
+def depot_without_cell(doc):
+    return {**doc, "depots": [{"id": doc["depots"][0]["id"]}, *doc["depots"][1:]]}
+
+
+def repeat_first(key):
+    def edit(doc):
+        return {**doc, key: [*doc[key], doc[key][0]]}
+    return edit
+
+
 def grow_region(doc):
     regions = dict(doc["segmentation"]["regions"])
     regions["0"] = regions["0"] + [36]
@@ -345,10 +355,12 @@ class TestScenarioCellIds:
 
     @pytest.mark.parametrize("edit", [widen_rates, widen_rates_and_segment, shrink_travel,
                                       move_hospital(99), move_hospital(-1), grow_region,
-                                      depot_capacity(2)],
+                                      depot_capacity(2), depot_without_cell,
+                                      repeat_first("depots"), repeat_first("hospitals")],
                              ids=["rates_41_cells", "rates_41_cells_kmeans", "travel_30x30",
                                   "hospital_99", "hospital_negative", "region_cell_36",
-                                  "depot_capacity_2"])
+                                  "depot_capacity_2", "depot_without_cell",
+                                  "depot_id_twice", "hospital_id_twice"])
     def test_rejected_at_load(self, default_city_doc, edit):
         with pytest.raises(geo.ScenarioError):
             geo.world_from_json(edit(default_city_doc))

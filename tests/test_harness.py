@@ -124,6 +124,22 @@ class TestTrainingPipeline:
         hlp = harness.train_hlp_agent(world, llp_agents, cfg, [0, 1], seed=6)
         assert len(hlp.buffer) > 0
 
+    def test_city_trainer_stores_one_transition_per_city_plan(self, monkeypatch):
+        buckets = [[1.2, 0, 0, 0, 0, 0.3], [0.3, 0, 0, 0, 0, 1.2]] * 42
+        world = two_region_world(rates_by_bucket=buckets, bucket_s=7200)
+        cfg = DdpgConfig()
+        rng = np.random.default_rng(8)
+        llp_agents = {g: LlpAgent(g, 2, cfg, rng) for g in (0, 1)}
+        hlp = HlpAgent(2, cfg, rng)
+        stored = []
+        monkeypatch.setattr(hlp, "observe", stored.append)
+        trainer = harness.HlpTrainer(hlp, llp_agents, world, np.random.default_rng(9))
+        chain = sim.sample_chain(world.rates, 86400.0, 0)
+        sim.run_episode(world, chain, trainer, sim.SimConfig(), n_responders=3)
+        n_plans = sum(level == "city" for level, _ in trainer.decision_latency)
+        assert n_plans > 1
+        assert [tr.terminal for tr in stored] == [False] * (n_plans - 1) + [True]
+
     def test_save_load_round_trip(self, tmp_path):
         world = two_region_world(rates_by_bucket=[[1.0, 0.5, 0.2, 0.1, 0.4, 0.8]])
         cfg = tiny_train_cfg(episodes_llp=1, episodes_hlp=1)
