@@ -81,6 +81,7 @@ class DdpgAgent:
         self.critic_opt = nn.adam_init(critic)
         self.buffer = ReplayBuffer(cfg.buffer_capacity)
         self.explore_eps = cfg.eps_start
+        self.updates: list[dict] = []  # train_step statistics, in order
 
     def observe(self, transition) -> None:
         self.buffer.push(transition)
@@ -95,9 +96,10 @@ class DdpgAgent:
         return nn.mlp_forward(net, x, train=train, rng=rng)
 
     def train_step(self, rng: np.random.Generator) -> dict | None:
-        """One minibatch update of critic then actor, then both targets.
-        None until the buffer holds a batch, and for an actor without outputs
-        (a one-region city agent has nothing to distribute)."""
+        """One minibatch update of critic then actor, then both targets; its
+        statistics are appended to `updates` and returned. None until the
+        buffer holds a batch, and for an actor without outputs (a one-region
+        city agent has nothing to distribute)."""
         cfg = self.cfg
         n = cfg.batch_size
         if len(self.buffer) < n or self.actor.arrays()[-1].size == 0:
@@ -122,8 +124,10 @@ class DdpgAgent:
 
         nn.soft_update(self.actor_target, self.actor, cfg.tau)
         nn.soft_update(self.critic_target, self.critic, cfg.tau)
-        return {"critic_loss": float(err @ err) / n, "actor_q": actor_q,
-                "explore_eps": self.explore_eps, "buffer_size": len(self.buffer)}
+        self.updates.append({"critic_loss": float(err @ err) / n, "actor_q": actor_q,
+                             "explore_eps": self.explore_eps,
+                             "buffer_size": len(self.buffer)})
+        return self.updates[-1]
 
 
 @dataclass

@@ -14,8 +14,8 @@ from .agents import DdpgConfig
 from .baselines import MctsConfig
 from .geo import ScenarioError, load_world, save_world
 from .harness import (ExperimentSpec, ScenarioParams, TrainConfig, compare_runs,
-                      evaluate_spec, filter_chain, generate_scenario, noise_sweep,
-                      read_run_summary, save_agents, train_hlp_agent,
+                      evaluate_spec, generate_scenario, noise_sweep, read_run_summary,
+                      run_region_episode, save_agents, train_hlp_agent,
                       train_llp_agent, write_noise_matrix, write_run_summary)
 from .hierarchy import TriggerPolicy, learned_controller
 from .sim import SimConfig, run_episode, sample_chain
@@ -68,22 +68,9 @@ def cmd_train(args) -> int:
     curve_file = open(curve_path, "w", newline="")
     curve = csv.writer(curve_file)
     curve.writerow(["phase", "region", "episode", "mean_response_s"])
-    log_file = open(out_dir / "train_log.csv", "w", newline="")
-    log = csv.writer(log_file)
-    stat_names = ["critic_loss", "actor_q", "explore_eps", "buffer_size"]
-    log.writerow(["phase", "region", "update", *stat_names])
-    n_logged: dict = {}
-
-    def log_updates(phase, region, updates):
-        """One train_log.csv row per update, numbered per agent from 0."""
-        first = n_logged.get((phase, region), 0)
-        for k, stats in enumerate(updates, first):
-            log.writerow([phase, region, k, *(repr(stats[name]) for name in stat_names)])
-        n_logged[phase, region] = first + len(updates)
 
     def llp_episode_hook(region):
-        def hook(episode, agent, updates):
-            log_updates("llp", region, updates)
+        def hook(episode, agent):
             if args.curve_every <= 0 or episode % args.curve_every:
                 return
             mean = _eval_llp(world, agent, region, eval_seeds[0], cfg)
@@ -98,8 +85,7 @@ def cmd_train(args) -> int:
         llp_agents[g] = train_llp_agent(world, g, cfg, train_seeds, args.seed,
                                         episode_hook=llp_episode_hook(g))
 
-    def hlp_episode_hook(episode, agent, updates):
-        log_updates("hlp", "", updates)
+    def hlp_episode_hook(episode, agent):
         if args.curve_every <= 0 or episode % args.curve_every:
             return
         mean = _eval_hierarchy(world, llp_agents, agent, eval_seeds[0], cfg)
@@ -111,7 +97,16 @@ def cmd_train(args) -> int:
         hlp_agent = train_hlp_agent(world, llp_agents, cfg, train_seeds, args.seed,
                                     episode_hook=hlp_episode_hook)
     curve_file.close()
-    log_file.close()
+    learners = [("llp", g, agent) for g, agent in llp_agents.items()]
+    if hlp_agent is not None:
+        learners.append(("hlp", "", hlp_agent))
+    stat_names = ["critic_loss", "actor_q", "explore_eps", "buffer_size"]
+    with open(out_dir / "train_log.csv", "w", newline="") as f:
+        log = csv.writer(f)
+        log.writerow(["phase", "region", "update", *stat_names])
+        for phase, region, agent in learners:
+            for k, stats in enumerate(agent.updates):
+                log.writerow([phase, region, k, *(repr(stats[name]) for name in stat_names)])
     manifest = {
         "ddpg": asdict(ddpg),
         "train": {k: (list(v) if isinstance(v, tuple) else v)
@@ -129,17 +124,13 @@ def cmd_train(args) -> int:
 
 
 def _eval_llp(world, agent, region, chain_seed, cfg):
-    cells = set(world.seg.region_cells[region])
-    chain = filter_chain(sample_chain(world.rates, cfg.horizon_s, chain_seed), cells)
     depots = world.region_depots(region)
     fleet = max(1, min(len(depots), round(cfg.default_fleet(world)
                                           * len(depots) / len(world.depots))))
     # baseline triggers plan at each incident and hourly lull, as in training;
     # the other regions hold no responders and so are never planned
     controller = learned_controller(world, TriggerPolicy(mode="baseline"), {region: agent})
-    res = run_episode(world, chain, controller,
-                      SimConfig(idle_timeout_s=controller.trigger.idle_timeout_s),
-                      initial_assignment={i: depots[i] for i in range(fleet)})
+    res = run_region_episode(world, region, controller, chain_seed, cfg.horizon_s, fleet)
     return res.mean_response_s
 
 
@@ -207,8 +198,9 @@ def cmd_noise_sweep(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_noise_matrix(rows, out_dir / "noise_matrix.csv")
     for r in rows:
-        print(f"sigma_rate={r['sigma_rate']:.2f} sigma_time={r['sigma_time']:.2f} "
-              f"-> {r['mean_response_s']:.1f} s")
+        mean = r["mean_response_s"]
+        print(f"sigma_rate={r['sigma_rate']:.2f} sigma_time={r['sigma_time']:.2f} -> "
+              + ("no incidents" if mean is None else f"{mean:.1f} s"))
     return 0
 
 

@@ -26,7 +26,8 @@ from .features import NoiseModel, region_observation
 from .geo import ScenarioWorld
 from .hierarchy import (DdpgPlanner, HierarchyController, TriggerPolicy,
                         city_decision, city_observation, learned_controller)
-from .sim import IncidentChain, SimConfig, Simulator, run_episode, sample_chain
+from .sim import (EpisodeResult, IncidentChain, SimConfig, Simulator, run_episode,
+                  sample_chain)
 
 
 # --- statistics ---------------------------------------------------------------
@@ -162,50 +163,51 @@ def resolve_fleet(world: ScenarioWorld, fleet_size: int | None) -> int:
     return max(1, int(round(0.7 * len(world.depots))))
 
 
-def _learn(agent, transition, rng: np.random.Generator, updates: list[dict]) -> None:
-    """Store one transition, take one update step and append its statistics
-    to `updates`."""
+def _learn(agent, transition, rng: np.random.Generator) -> None:
+    """Store one transition and take one update step; the agent logs its
+    statistics."""
     agent.observe(transition)
-    stats = agent.train_step(rng)
-    if stats is not None:
-        updates.append(stats)
+    agent.train_step(rng)
 
 
-class LlpTrainingController:
-    """Single-region training: decision at each incident or hourly lull."""
+class LlpTrainingController(HierarchyController):
+    """Single-region training under baseline triggers, its own region planner:
+    each plan at an incident or hourly lull first stores the previous
+    decision's transition, rewarded with the response of a dispatch made at
+    this instant, then explores with rng."""
 
     def __init__(self, agent: LlpAgent, world: ScenarioWorld, rng: np.random.Generator):
+        super().__init__(world, TriggerPolicy(mode="baseline"), self)
         self.agent = agent
-        self.world = world
-        self.rng = rng
+        self.run_rng = rng
         self.pending = None  # (obs, executed likelihoods) of the last decision
-        self.updates: list[dict] = []  # train_step statistics, in order
 
-    def begin_episode(self, sim: Simulator):
-        self._epoch(sim, reward=None)
-
-    def on_event(self, sim: Simulator, event):
-        if event.kind == "incident":
-            dispatched = (sim.last_dispatch is not None
-                          and sim.last_dispatch.t == sim.now)
-            reward = (reward_from_response(sim.last_dispatch.response_s, self.agent.cfg)
-                      if dispatched else 0.0)
-            self._epoch(sim, reward)
-        elif event.kind == "idle_tick":
-            self._epoch(sim, 0.0)
-
-    def _epoch(self, sim: Simulator, reward: float | None):
-        obs = region_observation(sim.responders, self.agent.region, sim.now, self.world)
-        if reward is not None:
-            _learn(self.agent, Transition(*self.pending, reward, obs, False), self.rng,
-                   self.updates)
-        likelihoods, assignment = self.agent.act(obs, explore=True, rng=self.rng)
-        sim.apply_depot_moves(assignment)
+    def plan_region(self, sim: Simulator, region: int, rng) -> dict[int, int]:
+        obs = region_observation(sim.responders, region, sim.now, self.world)
+        if self.pending is not None:
+            dispatch = sim.last_dispatch
+            reward = (reward_from_response(dispatch.response_s, self.agent.cfg)
+                      if dispatch is not None and dispatch.t == sim.now else 0.0)
+            _learn(self.agent, Transition(*self.pending, reward, obs, False), self.run_rng)
+        likelihoods, assignment = self.agent.act(obs, explore=True, rng=self.run_rng)
         self.pending = (obs, likelihoods)
+        return assignment
 
     def end_episode(self, sim: Simulator):
         obs = region_observation(sim.responders, self.agent.region, sim.now, self.world)
-        _learn(self.agent, Transition(*self.pending, 0.0, obs, True), self.rng, self.updates)
+        _learn(self.agent, Transition(*self.pending, 0.0, obs, True), self.run_rng)
+
+
+def run_region_episode(world: ScenarioWorld, region: int, controller, chain_seed: int,
+                       horizon_s: float, fleet: int) -> EpisodeResult:
+    """One episode on the region's own incidents, its fleet of `fleet` on the
+    region's lowest-id depots, idle ticks as the controller's triggers set."""
+    cells = set(world.seg.region_cells[region])
+    chain = filter_chain(sample_chain(world.rates, horizon_s, chain_seed), cells)
+    depots = world.region_depots(region)
+    return run_episode(world, chain, controller,
+                       SimConfig(idle_timeout_s=controller.trigger.idle_timeout_s),
+                       initial_assignment={i: depots[i] for i in range(fleet)})
 
 
 def train_llp_agent(world: ScenarioWorld, region: int, cfg: TrainConfig,
@@ -213,30 +215,25 @@ def train_llp_agent(world: ScenarioWorld, region: int, cfg: TrainConfig,
                     agent: LlpAgent | None = None,
                     episode_hook=None) -> LlpAgent:
     """Train one region agent on chains restricted to its own cells.
-    episode_hook(episode, agent, updates) follows each episode, with the
-    statistics of the updates it made."""
+    episode_hook(episode, agent) follows each episode."""
     ss = np.random.SeedSequence((seed, region))
     init_rng, run_rng = (np.random.default_rng(s) for s in ss.spawn(2))
-    depots = world.region_depots(region)
+    n_depots = len(world.region_depots(region))
     if agent is None:
-        agent = LlpAgent(region, len(depots), cfg.ddpg, init_rng,
+        agent = LlpAgent(region, n_depots, cfg.ddpg, init_rng,
                          n_layers=cfg.llp_layers, n_heads=cfg.llp_heads,
                          inner_sizes=cfg.llp_inner, actor_dropout=cfg.llp_dropout,
                          critic_hidden=cfg.critic_hidden,
                          critic_dropout=cfg.critic_dropout)
-    cells = set(world.seg.region_cells[region])
     fleet_ratio = cfg.default_fleet(world) / len(world.depots)
-    sim_cfg = SimConfig(idle_timeout_s=TriggerPolicy().idle_timeout_s)
     for episode in range(cfg.episodes_llp):
         chain_seed = train_seeds[episode % len(train_seeds)]
-        chain = filter_chain(sample_chain(world.rates, cfg.horizon_s, chain_seed), cells)
-        fleet = sample_llp_fleet(len(depots), fleet_ratio, run_rng)
-        initial = {i: depots[i] for i in range(fleet)}
+        fleet = sample_llp_fleet(n_depots, fleet_ratio, run_rng)
         agent.explore_eps = cfg.ddpg.explore_eps(episode)
         controller = LlpTrainingController(agent, world, run_rng)
-        run_episode(world, chain, controller, sim_cfg, initial_assignment=initial)
+        run_region_episode(world, region, controller, chain_seed, cfg.horizon_s, fleet)
         if episode_hook is not None:
-            episode_hook(episode, agent, controller.updates)
+            episode_hook(episode, agent)
     return agent
 
 
@@ -255,7 +252,6 @@ class HlpTrainer(HierarchyController):
         self.run_rng = run_rng
         self.pending = None  # (obs, a_h, reward)
         self._open = None    # (obs, a_h) of the cycle in progress
-        self.updates: list[dict] = []  # train_step statistics, in order
 
     def on_event(self, sim: Simulator, event):
         super().on_event(sim, event)
@@ -265,8 +261,7 @@ class HlpTrainer(HierarchyController):
     def plan_counts(self, sim: Simulator, rng) -> dict[int, int]:
         obs = city_observation(sim)
         if self.pending is not None:
-            _learn(self.agent, Transition(*self.pending, obs, False), self.run_rng,
-                   self.updates)
+            _learn(self.agent, Transition(*self.pending, obs, False), self.run_rng)
             self.pending = None
         a_h, counts = city_decision(self.agent, obs, sim, explore=True, rng=self.run_rng)
         self._open = (obs, a_h)
@@ -294,8 +289,7 @@ class HlpTrainer(HierarchyController):
         if self.pending is None:
             return
         # the terminal transition repeats its own observation as the next one
-        _learn(self.agent, Transition(*self.pending, self.pending[0], True), self.run_rng,
-               self.updates)
+        _learn(self.agent, Transition(*self.pending, self.pending[0], True), self.run_rng)
         self.pending = None
 
 
@@ -322,7 +316,7 @@ def train_hlp_agent(world: ScenarioWorld, llp_agents: dict[int, LlpAgent],
         trainer = HlpTrainer(agent, llp_agents, world, run_rng)
         run_episode(world, chain, trainer, SimConfig(), n_responders=fleet)
         if episode_hook is not None:
-            episode_hook(episode, agent, trainer.updates)
+            episode_hook(episode, agent)
     return agent
 
 
@@ -376,6 +370,9 @@ def load_agents(path_dir, world: ScenarioWorld) -> tuple[dict[int, LlpAgent], Hl
     for prefix, agent in _checkpoint_prefixes(llp_agents, hlp_agent).items():
         for role in _NETWORK_ROLES:
             setattr(agent, role, nets[f"{prefix}_{role}"])
+        # fresh moments shaped like the loaded networks, not the default ones
+        agent.actor_opt = nn.adam_init(agent.actor)
+        agent.critic_opt = nn.adam_init(agent.critic)
     return llp_agents, hlp_agent
 
 

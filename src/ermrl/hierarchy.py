@@ -65,9 +65,11 @@ class HierarchyController:
     Region plans reach the simulator through sim.apply_depot_moves and city
     counts through apply_hlp_counts, which calls sim.apply_region_moves.
     decision_latency holds one (level, wall seconds) entry per planner call of
-    the current episode, level "region" or "city". City-agent training
-    subclasses the controller (harness.HlpTrainer) to follow each
-    redistribution cycle and the episode's end.
+    the current episode, level "region" or "city". Both trainers subclass
+    the controller: region-agent training (harness.LlpTrainingController)
+    plans its region and stores a transition per plan, city-agent training
+    (harness.HlpTrainer) follows each redistribution cycle; both close their
+    episode in end_episode.
     """
 
     def __init__(self, world: ScenarioWorld, trigger: TriggerPolicy,

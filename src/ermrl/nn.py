@@ -353,14 +353,14 @@ def trxl_backward(p: TrxlParams, cache: dict, dprobs: Array) -> tuple[Array, Trx
 
 # --- optimizer ------------------------------------------------------------------
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     m: list[Array]
     v: list[Array]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def adam_init(params) -> AdamState:
@@ -372,13 +372,13 @@ def adam_init(params) -> AdamState:
 def adam_step(state: AdamState, params, grads, lr: float):
     """One Adam update, in place on the parameter arrays."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for i, (a, g) in enumerate(zip(params.arrays(), grads.arrays())):
         state.m[i] = b1 * state.m[i] + (1 - b1) * g
         state.v[i] = b2 * state.v[i] + (1 - b2) * g * g
-        a -= lr * (state.m[i] / c1) / (np.sqrt(state.v[i] / c2) + state.eps)
+        a -= lr * (state.m[i] / c1) / (np.sqrt(state.v[i] / c2) + ADAM_EPS)
 
 
 def soft_update(target, online, tau: float):

@@ -153,6 +153,21 @@ def test_eval_checks_the_checkpoints_training_chains(tmp_path, command):
     assert (tmp_path / "disjoint").exists()
 
 
+def test_noise_sweep_reports_a_sigma_pair_without_incidents(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    assert main(["generate", "--out", str(scenario), "--seed", "3",
+                 "--nx", "3", "--ny", "2", "--depots", "2", "--hospitals", "1",
+                 "--regions", "1", "--rate", "0"]) == 0
+    train_tiny(scenario, tmp_path / "ckpt", "0:2", "50:51")
+    capsys.readouterr()
+    assert main(["noise-sweep", "--scenario", str(scenario),
+                 "--checkpoint-dir", str(tmp_path / "ckpt"),
+                 "--out-dir", str(tmp_path / "sweep"), "--seed", "5", "--sigmas", "0",
+                 "--eval-seeds", "50:51", "--fleet", "1", "--horizon-days", "0.1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "sigma_rate=0.00 sigma_time=0.00 -> no incidents"]
+
+
 def test_unknown_ddpg_setting_in_manifest_is_a_config_error(tmp_path, capsys):
     scenario = tiny_scenario(tmp_path)
     ckpt = tmp_path / "ckpt"

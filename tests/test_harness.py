@@ -140,6 +140,33 @@ class TestTrainingPipeline:
         assert n_plans > 1
         assert [tr.terminal for tr in stored] == [False] * (n_plans - 1) + [True]
 
+    def test_region_trainer_stores_one_transition_per_region_plan(self, monkeypatch):
+        world = two_region_world(rates_by_bucket=[[1.0, 0.5, 0.2, 0.1, 0.4, 0.8]])
+        agent = LlpAgent(0, 2, DdpgConfig(batch_size=8), np.random.default_rng(8))
+        stored, returned = [], []
+        observe, train_step = agent.observe, agent.train_step
+
+        def observing(transition):
+            stored.append(transition)
+            observe(transition)
+
+        def training(rng):
+            returned.append(train_step(rng))
+            return returned[-1]
+
+        monkeypatch.setattr(agent, "observe", observing)
+        monkeypatch.setattr(agent, "train_step", training)
+        trainer = harness.LlpTrainingController(agent, world, np.random.default_rng(9))
+        harness.run_region_episode(world, 0, trainer, chain_seed=0,
+                                   horizon_s=86400.0, fleet=2)
+        n_plans = sum(level == "region" for level, _ in trainer.decision_latency)
+        assert n_plans > 1
+        assert [tr.terminal for tr in stored] == [False] * (n_plans - 1) + [True]
+        assert any(tr.reward < 0 for tr in stored)
+        n_updates = sum(stats is not None for stats in returned)
+        assert n_updates > 0
+        assert agent.updates == [stats for stats in returned if stats is not None]
+
     def test_save_load_round_trip(self, tmp_path):
         world = two_region_world(rates_by_bucket=[[1.0, 0.5, 0.2, 0.1, 0.4, 0.8]])
         cfg = tiny_train_cfg(episodes_llp=1, episodes_hlp=1)
@@ -155,6 +182,23 @@ class TestTrainingPipeline:
         for a, b in zip(hlp.critic.arrays(), loaded_hlp.critic.arrays()):
             assert np.array_equal(a, b)
         assert json.loads((tmp_path / "manifest.json").read_text())["episodes_llp"] == 1
+
+
+    def test_loaded_agents_keep_training(self, tmp_path):
+        # networks narrower than the constructor's defaults
+        world = two_region_world(rates_by_bucket=[[1.0, 0.5, 0.2, 0.1, 0.4, 0.8]])
+        cfg = tiny_train_cfg(episodes_llp=2, episodes_hlp=1)
+        llp_agents = {g: harness.train_llp_agent(world, g, cfg, [0], seed=7)
+                      for g in (0, 1)}
+        hlp = harness.train_hlp_agent(world, llp_agents, cfg, [0], seed=7)
+        harness.save_agents(tmp_path, llp_agents, hlp, {"ddpg": {"batch_size": 8}})
+        loaded_llp, loaded_hlp = harness.load_agents(tmp_path, world)
+        for agent in [*loaded_llp.values(), loaded_hlp]:
+            for opt, net in ((agent.actor_opt, agent.actor), (agent.critic_opt, agent.critic)):
+                shapes = [a.shape for a in net.arrays()]
+                assert [m.shape for m in opt.m] == [v.shape for v in opt.v] == shapes
+        agent = harness.train_llp_agent(world, 0, cfg, [1], seed=8, agent=loaded_llp[0])
+        assert agent.updates
 
 
 def save_untrained(path, world, llp_depots=None, hlp_regions=None):
