@@ -1,9 +1,9 @@
 """Geography, travel model, incident-rate model, and region segmentation.
 
 Everything here is immutable after construction and safe to share between
-threads; ScenarioWorld fills its nearby-rate table on first use, with values
-that never change. Times are seconds, rates are incidents per hour, distances
-miles.
+threads; ScenarioWorld fills its nearby-rate and region-rate tables on first
+use, with values that never change. Times are seconds, rates are incidents
+per hour, distances miles.
 """
 
 from __future__ import annotations
@@ -163,6 +163,8 @@ class Segmentation:
 
     region_cells: dict[int, frozenset[int]]
     depot_regions: dict[int, int]
+    # region id -> its depot ids in id order, regions in id order
+    _depots: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen: set[int] = set()
@@ -173,6 +175,9 @@ class Segmentation:
         regions_with_depot = set(self.depot_regions.values())
         if regions_with_depot != set(self.region_cells):
             raise ScenarioError("every region must contain at least one depot")
+        object.__setattr__(self, "_depots", {
+            g: sorted(d for d, r in self.depot_regions.items() if r == g)
+            for g in sorted(self.region_cells)})
 
     @property
     def region_ids(self) -> list[int]:
@@ -183,7 +188,7 @@ class Segmentation:
         return len(self.region_cells)
 
     def region_depots(self, region_id: int) -> list[int]:
-        return sorted(d for d, g in self.depot_regions.items() if g == region_id)
+        return list(self._depots.get(region_id, ()))
 
 
 def single_region(grid: Grid, depots: dict[int, Depot]) -> Segmentation:
@@ -314,6 +319,8 @@ class ScenarioWorld:
     # (travel bucket, rate bucket) -> {depot id: nearby rate}, filled on first use;
     # two threads filling one pair store equal values
     _nearby: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # rate bucket -> {region id: region rate}, filled on first use like _nearby
+    _region_rates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.hospitals:
@@ -338,11 +345,20 @@ class ScenarioWorld:
         return self.seg.region_depots(region_id)
 
     def region_caps(self) -> dict[int, int]:
-        return {g: len(self.seg.region_depots(g)) for g in self.seg.region_ids}
+        return {g: len(ds) for g, ds in self.seg._depots.items()}
 
     def region_rates(self, t: float) -> dict[int, float]:
-        """{region id: summed incident rate over the region's cells} at time t."""
-        return {g: region_rate(self.seg, self.rates, g, t) for g in self.seg.region_ids}
+        """{region id: summed incident rate over the region's cells} at time t.
+
+        Depends on t only through the rate bucket; each bucket is summed once
+        and kept, and every call returns a fresh dict.
+        """
+        b = self.rates.bucket_index(t)
+        lam = self._region_rates.get(b)
+        if lam is None:
+            lam = {g: region_rate(self.seg, self.rates, g, t) for g in self.seg.region_ids}
+            self._region_rates[b] = lam
+        return dict(lam)
 
     def nearby_rates_at(self, t: float) -> MappingProxyType:
         """Read-only {depot id: nearby incident rate} over all depots at time t.

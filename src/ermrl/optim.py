@@ -88,8 +88,8 @@ def max_weight_match(L: np.ndarray) -> dict[int, int]:
 def normalize_hlp(a_h: np.ndarray) -> np.ndarray:
     """Append a constant 1 to the raw action and L1-normalize to proportions."""
     a_h = np.asarray(a_h, dtype=float)
-    if np.any(a_h < 0):
-        raise ValueError("raw high-level action must be nonnegative")
+    if not (np.isfinite(a_h).all() and (a_h >= 0).all()):
+        raise ValueError("raw high-level action must be finite and nonnegative")
     full = np.append(a_h, 1.0)
     return full / full.sum()
 
@@ -100,43 +100,42 @@ def greedy_redistribute(proportions: np.ndarray, n_responders: int, caps: list[i
     Iteratively floors the proportional shares, hands out the remainder one by
     one to the region with the largest shortfall against its expected share
     (ties to the lowest region index), then fixes any region exceeding its cap
-    at the cap and reruns on the remaining responders and regions.
+    at the cap and reruns on the remaining responders and regions. The loops
+    run over Python floats and ints, which is cheaper than numpy element access
+    on a few regions; each share's denominator stays numpy's sum.
     """
     p = np.asarray(proportions, dtype=float)
-    caps_arr = np.asarray(caps, dtype=int)
-    if abs(p.sum() - 1.0) > 1e-6 or np.any(p < 0):
-        raise ValueError("proportions must be nonnegative and sum to 1")
-    if n_responders > caps_arr.sum():
-        raise InfeasibleError(f"{n_responders} responders exceed total capacity {caps_arr.sum()}")
-    n_regions = len(p)
-    counts = np.zeros(n_regions, dtype=int)
-    active = np.ones(n_regions, dtype=bool)
+    pl = p.tolist()
+    if not all(math.isfinite(x) and x >= 0.0 for x in pl) or abs(p.sum() - 1.0) > 1e-6:
+        raise ValueError("proportions must be finite, nonnegative and sum to 1")
+    caps = [int(c) for c in caps]
+    if n_responders < 0:
+        raise ValueError(f"responder count {n_responders} is negative")
+    if n_responders > sum(caps):
+        raise InfeasibleError(f"{n_responders} responders exceed total capacity {sum(caps)}")
+    counts = [0] * len(pl)
+    active = list(range(len(pl)))
     v_avail = int(n_responders)
-    for _ in range(n_regions + 1):
+    for _ in range(len(pl) + 1):
         s = float(p[active].sum())
-        for g in np.flatnonzero(active):
-            share = p[g] / s if s > 0 else 0.0
-            counts[g] = int(math.floor(share * v_avail))
-        v_remain = v_avail - int(counts[active].sum())
-        while v_remain > 0:
-            shortfall = np.where(active, p * v_avail - counts, -np.inf)
-            g = int(np.argmax(shortfall))
-            counts[g] += 1
-            v_remain -= 1
-        removed = False
-        for g in np.flatnonzero(active):
-            if counts[g] > caps_arr[g]:
-                counts[g] = int(caps_arr[g])
-                active[g] = False
-                v_avail -= int(caps_arr[g])
-                removed = True
-        if not removed:
+        for g in active:
+            counts[g] = math.floor(pl[g] / s * v_avail) if s > 0 else 0
+        for _ in range(v_avail - sum(counts[g] for g in active)):
+            # max keeps the first of equal shortfalls: ties to the lowest index
+            counts[max(active, key=lambda g: pl[g] * v_avail - counts[g])] += 1
+        keep = [g for g in active if counts[g] <= caps[g]]
+        if len(keep) == len(active):
             break
+        for g in active:
+            if counts[g] > caps[g]:
+                counts[g] = caps[g]
+                v_avail -= caps[g]
+        active = keep
     else:
         raise RuntimeError("redistribution failed to terminate")
-    if counts.sum() != n_responders:
+    if sum(counts) != n_responders:
         raise RuntimeError("redistribution lost or invented responders")
-    return counts
+    return np.array(counts, dtype=int)
 
 
 def min_cost_flow_assign(

@@ -377,3 +377,29 @@ class TestRegionRates:
                 expected = {g: geo.region_rate(world.seg, world.rates, g, t)
                             for g in world.seg.region_ids}
                 assert world.region_rates(t) == expected
+
+    def test_one_cached_entry_per_rate_bucket(self):
+        from ermrl.harness import ScenarioParams, generate_scenario
+        world = generate_scenario(ScenarioParams(n_regions=3), 3)
+        dur = world.rates.bucket_duration_s
+        for t in np.arange(0.0, 2 * world.rates.period_s, dur / 3):
+            world.region_rates(float(t))
+        assert sorted(world._region_rates) == list(range(world.rates.n_buckets))
+
+    def test_mutating_a_result_leaves_the_next_call_unchanged(self):
+        from ermrl.harness import ScenarioParams, generate_scenario
+        world = generate_scenario(ScenarioParams(n_regions=3), 3)
+        g = world.seg.region_ids[0]
+        depots = sorted(d for d, r in world.seg.depot_regions.items() if r == g)
+        rates = {h: geo.region_rate(world.seg, world.rates, h, 0.0) for h in world.seg.region_ids}
+        caps = world.region_caps()
+        assert world.region_rates(0.0) == rates
+        assert world.region_depots(g) == depots
+        assert caps == {h: len(world.region_depots(h)) for h in world.seg.region_ids}
+        world.region_rates(0.0)[g] = -1.0
+        world.region_depots(g).append(-1)
+        world.seg.region_depots(g).clear()
+        world.region_caps()[g] = -1
+        assert world.region_rates(0.0) == rates
+        assert world.region_depots(g) == depots
+        assert world.region_caps() == caps

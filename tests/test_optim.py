@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -131,6 +132,48 @@ class TestNormalizeHlp:
         with pytest.raises(ValueError):
             optim.normalize_hlp(np.array([-0.1, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            optim.normalize_hlp(np.array([bad, 1.0]))
+
+
+def reference_greedy_redistribute(proportions, n_responders, caps):
+    """The numpy-indexed redistribution, kept frozen as a bit-level reference."""
+    p = np.asarray(proportions, dtype=float)
+    caps_arr = np.asarray(caps, dtype=int)
+    if abs(p.sum() - 1.0) > 1e-6 or np.any(p < 0):
+        raise ValueError("proportions must be nonnegative and sum to 1")
+    if n_responders > caps_arr.sum():
+        raise optim.InfeasibleError(f"{n_responders} responders exceed total capacity")
+    n_regions = len(p)
+    counts = np.zeros(n_regions, dtype=int)
+    active = np.ones(n_regions, dtype=bool)
+    v_avail = int(n_responders)
+    for _ in range(n_regions + 1):
+        s = float(p[active].sum())
+        for g in np.flatnonzero(active):
+            share = p[g] / s if s > 0 else 0.0
+            counts[g] = int(math.floor(share * v_avail))
+        v_remain = v_avail - int(counts[active].sum())
+        while v_remain > 0:
+            shortfall = np.where(active, p * v_avail - counts, -np.inf)
+            g = int(np.argmax(shortfall))
+            counts[g] += 1
+            v_remain -= 1
+        removed = False
+        for g in np.flatnonzero(active):
+            if counts[g] > caps_arr[g]:
+                counts[g] = int(caps_arr[g])
+                active[g] = False
+                v_avail -= int(caps_arr[g])
+                removed = True
+        if not removed:
+            break
+    else:
+        raise RuntimeError("redistribution failed to terminate")
+    return counts
+
 
 def algorithm_trace_oracle(p, n_responders, caps):
     """Straight-line reimplementation of the redistribution procedure (dicts, no numpy)."""
@@ -203,6 +246,37 @@ class TestGreedyRedistribute:
     def test_infeasible_rejected(self):
         with pytest.raises(optim.InfeasibleError):
             optim.greedy_redistribute(np.array([0.5, 0.5]), 7, [3, 3])
+
+    @pytest.mark.parametrize("p", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0]])
+    def test_non_finite_proportions_rejected(self, p):
+        with pytest.raises(ValueError):
+            optim.greedy_redistribute(np.array(p), 4, [10, 10])
+
+    def test_negative_fleet_rejected(self):
+        with pytest.raises(ValueError):
+            optim.greedy_redistribute(np.array([0.5, 0.5]), -1, [10, 10])
+
+    @pytest.mark.parametrize("kind", ["uniform", "quantized", "dirichlet"])
+    def test_matches_frozen_reference_bit_for_bit(self, kind):
+        # numpy sums 8 or more shares in another order than Python's sum, so
+        # regions past 8 catch a denominator summed the other way
+        rng = np.random.default_rng({"uniform": 0, "quantized": 1, "dirichlet": 2}[kind])
+        for r in range(1, 13):
+            for _ in range(25):
+                if kind == "uniform":
+                    p = np.full(r, 1.0 / r)
+                elif kind == "quantized":  # many equal shares and exact zeros
+                    raw = rng.integers(0, 4, size=r).astype(float)
+                    raw[int(rng.integers(r))] += 1.0
+                    p = raw / raw.sum()
+                else:
+                    p = rng.dirichlet(np.full(r, float(rng.choice([0.2, 1.0, 5.0]))))
+                caps = [int(c) for c in rng.integers(0, 10, size=r)]
+                for v in range(sum(caps) + 1):
+                    got = optim.greedy_redistribute(p, v, caps)
+                    want = reference_greedy_redistribute(p, v, caps)
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want), (p.tolist(), v, caps)
 
 
 def brute_force_moves(counts_prev, counts_new, resp_regions, resp_depots, region_depots, phi):
