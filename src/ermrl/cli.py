@@ -8,19 +8,16 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from .agents import DdpgConfig
 from .baselines import MctsConfig
 from .geo import ScenarioError, load_world, save_world
 from .harness import (ExperimentSpec, ScenarioParams, TrainConfig, compare_runs,
-                      evaluate_spec, generate_scenario, noise_sweep, read_run_summary,
-                      run_region_episode, save_agents, train_hlp_agent,
+                      eval_chain, evaluate_spec, generate_scenario, mean_response,
+                      noise_sweep, read_run_summary, save_agents, train_hlp_agent,
                       train_llp_agent, write_noise_matrix, write_run_summary)
-from .hierarchy import TriggerPolicy, learned_controller
-from .sim import SimConfig, run_episode, sample_chain
 
 PLANNERS = ("drl", "mcts", "pmedian", "greedy", "static", "random")
+CURVE_CHAINS = 3  # each learning-curve point averages the first this many eval chains
 
 
 class ConfigError(ValueError):
@@ -64,38 +61,40 @@ def cmd_train(args) -> int:
         raise ConfigError("train and eval chain seeds overlap")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    curve_path = out_dir / "curves.csv"
-    curve_file = open(curve_path, "w", newline="")
+    curve_file = open(out_dir / "curves.csv", "w", newline="")
     curve = csv.writer(curve_file)
     curve.writerow(["phase", "region", "episode", "mean_response_s"])
+    curve_spec = ExperimentSpec(scenario_path=args.scenario, planner="drl",
+                                out_dir=args.out_dir, eval_seeds=eval_seeds[:CURVE_CHAINS],
+                                fleet_size=cfg.fleet_size, horizon_s=cfg.horizon_s,
+                                seed=args.seed)
+    llp_agents = {}
 
-    def llp_episode_hook(region):
+    def curve_hook(region):
+        """Every curve_every episodes, the episode's agent evaluated as `ermrl
+        eval` runs drl: a region agent alone in its region, the city agent
+        over llp_agents."""
         def hook(episode, agent):
             if args.curve_every <= 0 or episode % args.curve_every:
                 return
-            mean = _eval_llp(world, agent, region, eval_seeds[0], cfg)
-            curve.writerow(["llp", region, episode,
+            agents = (llp_agents, agent) if region is None else ({region: agent}, None)
+            mean = mean_response([eval_chain(curve_spec, world, agents, s, region)[0]
+                                  for s in curve_spec.eval_seeds])
+            curve.writerow(["hlp" if region is None else "llp", region, episode,
                             "" if mean is None else repr(mean)])
         return hook
 
-    llp_agents = {}
     for g in world.seg.region_ids:
         print(f"training region agent {g} "
               f"({len(world.region_depots(g))} depots, {cfg.episodes_llp} episodes)")
         llp_agents[g] = train_llp_agent(world, g, cfg, train_seeds, args.seed,
-                                        episode_hook=llp_episode_hook(g))
-
-    def hlp_episode_hook(episode, agent):
-        if args.curve_every <= 0 or episode % args.curve_every:
-            return
-        mean = _eval_hierarchy(world, llp_agents, agent, eval_seeds[0], cfg)
-        curve.writerow(["hlp", "", episode, "" if mean is None else repr(mean)])
+                                        episode_hook=curve_hook(g))
 
     hlp_agent = None
     if world.seg.n_regions > 1 and args.episodes_hlp > 0:
         print(f"training city agent ({cfg.episodes_hlp} episodes)")
         hlp_agent = train_hlp_agent(world, llp_agents, cfg, train_seeds, args.seed,
-                                    episode_hook=hlp_episode_hook)
+                                    episode_hook=curve_hook(None))
     curve_file.close()
     learners = [("llp", g, agent) for g, agent in llp_agents.items()]
     if hlp_agent is not None:
@@ -123,26 +122,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _eval_llp(world, agent, region, chain_seed, cfg):
-    depots = world.region_depots(region)
-    fleet = max(1, min(len(depots), round(cfg.default_fleet(world)
-                                          * len(depots) / len(world.depots))))
-    # baseline triggers plan at each incident and hourly lull, as in training;
-    # the other regions hold no responders and so are never planned
-    controller = learned_controller(world, TriggerPolicy(mode="baseline"), {region: agent})
-    res = run_region_episode(world, region, controller, chain_seed, cfg.horizon_s, fleet)
-    return res.mean_response_s
-
-
-def _eval_hierarchy(world, llp_agents, hlp_agent, chain_seed, cfg):
-    chain = sample_chain(world.rates, cfg.horizon_s, chain_seed)
-    controller = learned_controller(world, TriggerPolicy(mode="ours"), llp_agents,
-                                    hlp_agent, seed=0)
-    res = run_episode(world, chain, controller, SimConfig(),
-                      n_responders=cfg.default_fleet(world))
-    return res.mean_response_s
-
-
 def cmd_eval(args) -> int:
     world = load_world(args.scenario)
     if args.planner == "drl" and not args.checkpoint_dir:
@@ -157,9 +136,9 @@ def cmd_eval(args) -> int:
         seed=args.seed)
     records = evaluate_spec(spec, world, args.checkpoint_dir, workers=args.workers)
     write_run_summary(records, args.out_dir)
-    means = [r.mean_response_s for r in records if r.mean_response_s is not None]
-    print(f"{args.planner}: {len(records)} chains, "
-          f"mean response {np.mean(means):.1f} s" if means else "no incidents")
+    mean = mean_response(records)
+    print(f"{args.planner}: {len(records)} chains, mean response {mean:.1f} s"
+          if mean is not None else "no incidents")
     return 0
 
 

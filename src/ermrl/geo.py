@@ -410,13 +410,14 @@ def euclidean_travel_model(
     xy = grid.centroids()
     diff = xy[:, None, :] - xy[None, :, :]
     dist = np.sqrt((diff ** 2).sum(axis=2))
-    mats = []
-    for m in speed_multipliers:
+    mats = np.empty((len(speed_multipliers), *dist.shape))
+    for b, m in enumerate(speed_multipliers):
         speed = base_speed_mph * m
         if speed <= 0:
             raise ScenarioError("speed multiplier must keep speed positive")
-        mats.append(dist / speed * 3600.0)
-    return TravelModel(bucket_duration_s, np.stack(mats))
+        np.divide(dist, speed, out=mats[b])
+        mats[b] *= 3600.0
+    return TravelModel(bucket_duration_s, mats)
 
 
 # --- scenario file (JSON) ---------------------------------------------------

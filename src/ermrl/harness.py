@@ -408,25 +408,34 @@ class ExperimentSpec:
     eval_seeds: tuple[int, ...] = tuple(range(50, 60))
     fleet_size: int | None = None   # default: resolve_fleet
     horizon_s: float = 11 * 86400.0
-    sigma_rate: float = 0.0
+    sigma_rate: float = 0.0         # observation noise, seen only by drl
     sigma_time: float = 0.0
     alpha: float = 1.0
     mcts: MctsConfig = field(default_factory=MctsConfig)
     seed: int = 0
 
+    def __post_init__(self):
+        if (self.sigma_rate or self.sigma_time) and self.planner != "drl":
+            raise ValueError(f"observation noise reaches drl only, not {self.planner}")
 
-def build_controller(spec: ExperimentSpec, world: ScenarioWorld,
-                     checkpoint_dir=None, chain_seed: int = 0):
-    noise = NoiseModel(sigma_rate=spec.sigma_rate, sigma_time=spec.sigma_time)
+
+def _controller(spec: ExperimentSpec, world: ScenarioWorld, agents, chain_seed: int):
+    """The chain's controller, seeded by (spec.seed, chain_seed); drl runs `agents`."""
     ctrl_seed = int(np.random.SeedSequence((spec.seed, chain_seed)).generate_state(1)[0])
     if spec.planner == "drl":
-        llp_agents, hlp_agent = load_agents(checkpoint_dir, world)
-        return learned_controller(world, TriggerPolicy(mode="ours"),
-                                  llp_agents, hlp_agent, noise=noise, seed=ctrl_seed)
+        return learned_controller(world, TriggerPolicy(mode="ours"), *agents, seed=ctrl_seed,
+                                  noise=NoiseModel(spec.sigma_rate, spec.sigma_time))
     if spec.planner == "static":
         return None
     planner = BaselineRegionPlanner(spec.planner, mcts_cfg=spec.mcts, alpha=spec.alpha)
     return HierarchyController(world, TriggerPolicy(mode="baseline"), planner, seed=ctrl_seed)
+
+
+def build_controller(spec: ExperimentSpec, world: ScenarioWorld,
+                     checkpoint_dir=None, chain_seed: int = 0):
+    """One chain's controller, drl agents loaded from checkpoint_dir."""
+    agents = load_agents(checkpoint_dir, world) if spec.planner == "drl" else None
+    return _controller(spec, world, agents, chain_seed)
 
 
 @dataclass
@@ -439,48 +448,60 @@ class ChainRecord:
     latency_max_s: float | None
 
 
+def mean_response(results) -> float | None:
+    """Mean of the per-chain mean responses, chains without incidents left out."""
+    means = [r.mean_response_s for r in results if r.mean_response_s is not None]
+    return float(np.mean(means)) if means else None
+
+
+def eval_chain(spec: ExperimentSpec, world: ScenarioWorld, agents, chain_seed: int,
+               region: int | None = None) -> tuple[ChainRecord, EpisodeResult]:
+    """One held-out chain under spec's planner; agents as load_agents returns
+    them for drl, else None. A region restricts the chain to the region's
+    incidents and its share of the fleet, as run_region_episode runs them."""
+    controller = _controller(spec, world, agents, chain_seed)
+    fleet = resolve_fleet(world, spec.fleet_size)
+    if region is None:
+        idle = (controller.trigger.idle_timeout_s if controller is not None
+                and controller.trigger.mode == "baseline" else None)
+        chain = sample_chain(world.rates, spec.horizon_s, chain_seed)
+        result = run_episode(world, chain, controller, SimConfig(idle_timeout_s=idle),
+                             n_responders=fleet)
+    else:
+        n = len(world.region_depots(region))
+        result = run_region_episode(world, region, controller, chain_seed, spec.horizon_s,
+                                    max(1, min(n, round(fleet * n / len(world.depots)))))
+    lats = [dt for _, dt in controller.decision_latency] if controller else []
+    return ChainRecord(chain_seed, result.n_incidents, result.mean_response_s, len(lats),
+                       float(np.mean(lats)) if lats else None,
+                       float(np.max(lats)) if lats else None), result
+
+
 def evaluate_spec(spec: ExperimentSpec, world: ScenarioWorld,
                   checkpoint_dir=None, workers: int = 1) -> list[ChainRecord]:
-    """One record per eval chain. A trained planner is first checked against
-    the training chains its checkpoint's manifest records, if any: a shared
-    chain is a ValueError, raised before anything is written."""
+    """One record and one episode log per eval chain, in eval-seed order. A
+    trained planner's checkpoint is loaded once, after a check against the
+    training chains its manifest records: a shared chain is a ValueError."""
+    agents = None
     if spec.planner == "drl":
         trained = set(_read_manifest(checkpoint_dir).get("train_seeds", ()))
         shared = sorted(trained & set(spec.eval_seeds))
         if shared:
             raise ValueError(f"eval chains {shared} are among the checkpoint's "
                              f"training chains")
-    args = [(spec, world, checkpoint_dir, s) for s in spec.eval_seeds]
+        agents = load_agents(checkpoint_dir, world)
+    args = [(spec, world, agents, s) for s in spec.eval_seeds]
     if workers > 1:
         import multiprocessing as mp
         with mp.Pool(workers) as pool:
-            results = pool.map(_eval_one_chain, args)
+            results = pool.starmap(eval_chain, args)
     else:
-        results = [_eval_one_chain(a) for a in args]
-    return results  # already in eval-seed order
-
-
-def _eval_one_chain(packed) -> ChainRecord:
-    spec, world, checkpoint_dir, chain_seed = packed
-    chain = sample_chain(world.rates, spec.horizon_s, chain_seed)
-    controller = build_controller(spec, world, checkpoint_dir, chain_seed)
-    idle = (controller.trigger.idle_timeout_s if controller is not None
-            and controller.trigger.mode == "baseline" else None)
-    cfg = SimConfig(idle_timeout_s=idle)
-    fleet = resolve_fleet(world, spec.fleet_size)
-    result = run_episode(world, chain, controller, cfg, n_responders=fleet)
+        results = [eval_chain(*a) for a in args]
     log_dir = Path(spec.out_dir) / "episodes"
     log_dir.mkdir(parents=True, exist_ok=True)
-    result.write_csv(log_dir / f"chain_{chain_seed}.csv")
-    lats = [dt for _, dt in controller.decision_latency] if controller else []
-    return ChainRecord(
-        chain_seed=chain_seed,
-        n_incidents=result.n_incidents,
-        mean_response_s=result.mean_response_s,
-        decision_count=len(lats),
-        latency_mean_s=float(np.mean(lats)) if lats else None,
-        latency_max_s=float(np.max(lats)) if lats else None,
-    )
+    for record, result in results:
+        result.write_csv(log_dir / f"chain_{record.chain_seed}.csv")
+    return [record for record, _ in results]
 
 
 def write_run_summary(records: list[ChainRecord], out_dir) -> None:
@@ -494,10 +515,9 @@ def write_run_summary(records: list[ChainRecord], out_dir) -> None:
                         "" if r.mean_response_s is None else repr(r.mean_response_s)])
     decisions = sum(r.decision_count for r in records)
     latency = sum(r.latency_mean_s * r.decision_count for r in records if r.decision_count)
-    means = [r.mean_response_s for r in records if r.mean_response_s is not None]
     summary = {
         "chains": len(records),
-        "mean_response_s": float(np.mean(means)) if means else None,
+        "mean_response_s": mean_response(records),
         "decision_latency_mean_s": latency / decisions if decisions else None,
         "decision_latency_max_s": max((r.latency_max_s for r in records
                                        if r.latency_max_s is not None), default=None),
@@ -526,9 +546,8 @@ def noise_sweep(spec: ExperimentSpec, world: ScenarioWorld, checkpoint_dir,
             noisy = replace(spec, sigma_rate=s_rate, sigma_time=s_time,
                             out_dir=str(Path(spec.out_dir) / f"sigma_{s_rate!r}_{s_time!r}"))
             records = evaluate_spec(noisy, world, checkpoint_dir, workers)
-            means = [r.mean_response_s for r in records if r.mean_response_s is not None]
             rows.append({"sigma_rate": s_rate, "sigma_time": s_time,
-                         "mean_response_s": float(np.mean(means)) if means else None})
+                         "mean_response_s": mean_response(records)})
     return rows
 
 

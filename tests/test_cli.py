@@ -68,6 +68,11 @@ def test_exit_codes(tmp_path):
                  str(tmp_path / "c"), "--seed", "1", "--episodes-llp", "1",
                  "--episodes-hlp", "0", "--train-seeds", "0:2",
                  "--eval-seeds", "1:3", "--horizon-days", "0.1"]) == 2
+    # config error: observation noise on a planner that never observes it
+    out = tmp_path / "noisy_greedy"
+    assert main(["eval", "--scenario", str(scenario), "--out-dir", str(out), "--seed", "1",
+                 "--planner", "greedy", "--noise-rate", "0.3"]) == 2
+    assert not out.exists()
     # config error: an empty seed range, caught before any output is written
     for flag in ("--train-seeds", "--eval-seeds"):
         out = tmp_path / f"empty{flag}"
@@ -203,3 +208,24 @@ def test_learning_curves_leave_training_unchanged(tmp_path, monkeypatch):
             == (without / "train_log.csv").read_bytes())
     with np.load(with_curves / "networks.npz") as a, np.load(without / "networks.npz") as b:
         assert np.array_equal(a["params"], b["params"])
+
+
+def test_city_curve_is_the_eval_of_the_first_three_eval_chains(tmp_path):
+    scenario = tmp_path / "scenario.json"
+    assert main(["generate", "--out", str(scenario), "--seed", "3",
+                 "--nx", "4", "--ny", "4", "--depots", "5", "--hospitals", "1",
+                 "--regions", "2", "--rate", "4.0"]) == 0
+    ckpt = tmp_path / "ckpt"
+    assert main(["train", "--scenario", str(scenario), "--out-dir", str(ckpt),
+                 "--seed", "1", "--episodes-llp", "1", "--episodes-hlp", "2",
+                 "--horizon-days", "0.5", "--fleet", "3", "--train-seeds", "0:2",
+                 "--eval-seeds", "50:55", "--curve-every", "1"]) == 0
+    with open(ckpt / "curves.csv", newline="") as f:
+        last_hlp = [row for row in csv.DictReader(f) if row["phase"] == "hlp"][-1]
+    assert last_hlp["episode"] == "1"
+    run = tmp_path / "run"
+    assert main(["eval", "--scenario", str(scenario), "--checkpoint-dir", str(ckpt),
+                 "--out-dir", str(run), "--seed", "1", "--planner", "drl",
+                 "--eval-seeds", "50:53", "--horizon-days", "0.5", "--fleet", "3"]) == 0
+    summary = json.loads((run / "run_summary.json").read_text())
+    assert repr(summary["mean_response_s"]) == last_hlp["mean_response_s"]

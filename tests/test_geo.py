@@ -62,6 +62,26 @@ class TestTravelTime:
         with pytest.raises(geo.ScenarioError):
             geo.TravelModel(5000, np.zeros((3, 2, 2)))
 
+    @pytest.mark.parametrize("city", [
+        {},
+        {"nx": 25, "ny": 25, "n_depots": 36, "n_hospitals": 6, "n_regions": 5,
+         "citywide_rate_per_hour": 6.0},
+    ], ids=["default", "metro"])
+    def test_generated_tables_match_the_stacked_reference(self, city):
+        from ermrl.harness import ScenarioParams, generate_scenario
+        params = ScenarioParams(**city)
+        world = generate_scenario(params, 7)
+        # frozen reference: one temporary table per bucket, stacked
+        hours = np.arange(24)
+        speed_mult = 1.0 - 0.3 * (np.exp(-((hours - 8) ** 2) / 4.0)
+                                  + np.exp(-((hours - 17) ** 2) / 4.0))
+        xy = world.grid.centroids()
+        diff = xy[:, None, :] - xy[None, :, :]
+        dist = np.sqrt((diff ** 2).sum(axis=2))
+        reference = np.stack([dist / (params.base_speed_mph * m) * 3600.0
+                              for m in list(speed_mult)])
+        assert np.array_equal(world.travel.matrices, reference)
+
 
 class TestNearCells:
     def test_single_depot_gets_everything(self):

@@ -290,7 +290,8 @@ class TestEvaluation:
 
     def test_parallel_eval_matches_serial(self, tmp_path):
         world = two_region_world(rates_by_bucket=[[1.0, 0.5, 0.2, 0.1, 0.4, 0.8]])
-        for planner in ("static", "greedy", "mcts"):
+        save_untrained(tmp_path / "ckpt", world)
+        for planner in ("static", "greedy", "mcts", "drl"):
             out = {}
             for workers in (1, 2):
                 spec = harness.ExperimentSpec(
@@ -298,10 +299,36 @@ class TestEvaluation:
                     out_dir=str(tmp_path / f"{planner}{workers}"),
                     eval_seeds=(50, 51, 52), horizon_s=12 * 3600.0, fleet_size=2,
                     mcts=MctsConfig(iteration_limit=8, n_samples=2))
+                records = harness.evaluate_spec(spec, world, tmp_path / "ckpt", workers)
                 out[workers] = [(r.chain_seed, r.n_incidents, r.mean_response_s,
-                                 r.decision_count)
-                                for r in harness.evaluate_spec(spec, world, workers=workers)]
+                                 r.decision_count) for r in records]
             assert out[2] == out[1]
+            assert all(r[3] for r in out[1]) == (planner != "static")
+
+    def test_eval_loads_the_checkpoint_once(self, tmp_path, monkeypatch):
+        # two rate buckets that swap which region is busy make the city agent act
+        buckets = [[1.2, 0, 0, 0, 0, 0.3], [0.3, 0, 0, 0, 0, 1.2]] * 42
+        world = two_region_world(rates_by_bucket=buckets, bucket_s=7200)
+        ckpt = tmp_path / "ckpt"
+        save_untrained(ckpt, world)
+        loads = []
+        load_agents = harness.load_agents
+        monkeypatch.setattr(harness, "load_agents",
+                            lambda *a: loads.append(a) or load_agents(*a))
+        spec = harness.ExperimentSpec(scenario_path="unused", planner="drl",
+                                      out_dir=str(tmp_path / "run"), eval_seeds=(50, 51, 52),
+                                      horizon_s=12 * 3600.0, fleet_size=2)
+        records = harness.evaluate_spec(spec, world, ckpt)
+        assert len(loads) == 1
+        # oracle: a freshly loaded controller per chain
+        for r in records:
+            ctrl = harness.build_controller(spec, world, ckpt, r.chain_seed)
+            chain = sim.sample_chain(world.rates, spec.horizon_s, r.chain_seed)
+            result = sim.run_episode(world, chain, ctrl, sim.SimConfig(), n_responders=2)
+            result.write_csv(tmp_path / "oracle.csv")
+            assert {level for level, _ in ctrl.decision_latency} == {"region", "city"}
+            assert ((tmp_path / "run" / "episodes" / f"chain_{r.chain_seed}.csv").read_bytes()
+                    == (tmp_path / "oracle.csv").read_bytes())
 
     def test_eval_chains_must_miss_the_manifests_training_chains(self, tmp_path):
         world = two_region_world(rates_by_bucket=[[1.0, 0.5, 0.2, 0.1, 0.4, 0.8]])
