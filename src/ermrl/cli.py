@@ -78,7 +78,7 @@ def cmd_train(args) -> int:
             if args.curve_every <= 0 or episode % args.curve_every:
                 return
             agents = (llp_agents, agent) if region is None else ({region: agent}, None)
-            mean = mean_response([eval_chain(curve_spec, world, agents, s, region)[0]
+            mean = mean_response([eval_chain(curve_spec, world, agents, s, region)
                                   for s in curve_spec.eval_seeds])
             curve.writerow(["hlp" if region is None else "llp", region, episode,
                             "" if mean is None else repr(mean)])
@@ -134,10 +134,10 @@ def cmd_eval(args) -> int:
         alpha=args.alpha, mcts=MctsConfig(iteration_limit=args.mcts_iterations,
                                           n_samples=args.mcts_samples),
         seed=args.seed)
-    records = evaluate_spec(spec, world, args.checkpoint_dir, workers=args.workers)
-    write_run_summary(records, args.out_dir)
-    mean = mean_response(records)
-    print(f"{args.planner}: {len(records)} chains, mean response {mean:.1f} s"
+    results = evaluate_spec(spec, world, args.checkpoint_dir, workers=args.workers)
+    write_run_summary(results, args.out_dir)
+    mean = mean_response(results)
+    print(f"{args.planner}: {len(results)} chains, mean response {mean:.1f} s"
           if mean is not None else "no incidents")
     return 0
 

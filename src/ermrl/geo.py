@@ -259,7 +259,6 @@ def kmeans_segment(
 def near_cells(
     depot_ids: list[int],
     depots: dict[int, Depot],
-    grid: Grid,
     travel: TravelModel,
     t: float,
 ) -> dict[int, set[int]]:
@@ -283,13 +282,12 @@ def near_cells(
 def nearby_rates(
     depot_ids: list[int],
     depots: dict[int, Depot],
-    grid: Grid,
     travel: TravelModel,
     rates: RateModel,
     t: float,
 ) -> dict[int, float]:
     """Per-depot summed incident rate over the cells nearest that depot."""
-    parts = near_cells(depot_ids, depots, grid, travel, t)
+    parts = near_cells(depot_ids, depots, travel, t)
     rate_vec = rates.rates_at(t)
     return {d: float(sum(rate_vec[c] for c in cells)) for d, cells in parts.items()}
 
@@ -370,7 +368,7 @@ class ScenarioWorld:
         key = (self.travel.bucket_index(t), self.rates.bucket_index(t))
         lam = self._nearby.get(key)
         if lam is None:
-            lam = nearby_rates(self.depot_ids, self.depots, self.grid, self.travel, self.rates, t)
+            lam = nearby_rates(self.depot_ids, self.depots, self.travel, self.rates, t)
             self._nearby[key] = lam
         return MappingProxyType(lam)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from .baselines import BaselineRegionPlanner, MctsConfig
 from .features import NoiseModel, region_observation
 from .geo import ScenarioWorld
 from .hierarchy import (DdpgPlanner, HierarchyController, TriggerPolicy,
-                        city_decision, city_observation, learned_controller)
+                        city_decision, city_observation)
 from .sim import (EpisodeResult, IncidentChain, SimConfig, Simulator, run_episode,
                   sample_chain)
 
@@ -420,11 +420,15 @@ class ExperimentSpec:
 
 
 def _controller(spec: ExperimentSpec, world: ScenarioWorld, agents, chain_seed: int):
-    """The chain's controller, seeded by (spec.seed, chain_seed); drl runs `agents`."""
+    """The chain's controller, seeded by (spec.seed, chain_seed). drl runs
+    `agents` behind one DdpgPlanner, the city planner too if there is a city
+    agent."""
     ctrl_seed = int(np.random.SeedSequence((spec.seed, chain_seed)).generate_state(1)[0])
     if spec.planner == "drl":
-        return learned_controller(world, TriggerPolicy(mode="ours"), *agents, seed=ctrl_seed,
-                                  noise=NoiseModel(spec.sigma_rate, spec.sigma_time))
+        planner = DdpgPlanner(*agents, noise=NoiseModel(spec.sigma_rate, spec.sigma_time))
+        return HierarchyController(world, TriggerPolicy(mode="ours"), planner,
+                                   planner if planner.hlp_agent is not None else None,
+                                   seed=ctrl_seed)
     if spec.planner == "static":
         return None
     planner = BaselineRegionPlanner(spec.planner, mcts_cfg=spec.mcts, alpha=spec.alpha)
@@ -438,16 +442,6 @@ def build_controller(spec: ExperimentSpec, world: ScenarioWorld,
     return _controller(spec, world, agents, chain_seed)
 
 
-@dataclass
-class ChainRecord:
-    chain_seed: int
-    n_incidents: int
-    mean_response_s: float | None
-    decision_count: int
-    latency_mean_s: float | None
-    latency_max_s: float | None
-
-
 def mean_response(results) -> float | None:
     """Mean of the per-chain mean responses, chains without incidents left out."""
     means = [r.mean_response_s for r in results if r.mean_response_s is not None]
@@ -455,33 +449,30 @@ def mean_response(results) -> float | None:
 
 
 def eval_chain(spec: ExperimentSpec, world: ScenarioWorld, agents, chain_seed: int,
-               region: int | None = None) -> tuple[ChainRecord, EpisodeResult]:
-    """One held-out chain under spec's planner; agents as load_agents returns
-    them for drl, else None. A region restricts the chain to the region's
-    incidents and its share of the fleet, as run_region_episode runs them."""
+               region: int | None = None) -> EpisodeResult:
+    """One held-out chain under spec's planner, its record with the chain's
+    responses and planner calls; agents as load_agents returns them for drl,
+    else None. A region restricts the chain to the region's incidents and its
+    share of the fleet, as run_region_episode runs them."""
     controller = _controller(spec, world, agents, chain_seed)
     fleet = resolve_fleet(world, spec.fleet_size)
     if region is None:
         idle = (controller.trigger.idle_timeout_s if controller is not None
                 and controller.trigger.mode == "baseline" else None)
         chain = sample_chain(world.rates, spec.horizon_s, chain_seed)
-        result = run_episode(world, chain, controller, SimConfig(idle_timeout_s=idle),
-                             n_responders=fleet)
-    else:
-        n = len(world.region_depots(region))
-        result = run_region_episode(world, region, controller, chain_seed, spec.horizon_s,
-                                    max(1, min(n, round(fleet * n / len(world.depots)))))
-    lats = [dt for _, dt in controller.decision_latency] if controller else []
-    return ChainRecord(chain_seed, result.n_incidents, result.mean_response_s, len(lats),
-                       float(np.mean(lats)) if lats else None,
-                       float(np.max(lats)) if lats else None), result
+        return run_episode(world, chain, controller, SimConfig(idle_timeout_s=idle),
+                           n_responders=fleet)
+    n = len(world.region_depots(region))
+    return run_region_episode(world, region, controller, chain_seed, spec.horizon_s,
+                              max(1, min(n, round(fleet * n / len(world.depots)))))
 
 
 def evaluate_spec(spec: ExperimentSpec, world: ScenarioWorld,
-                  checkpoint_dir=None, workers: int = 1) -> list[ChainRecord]:
-    """One record and one episode log per eval chain, in eval-seed order. A
-    trained planner's checkpoint is loaded once, after a check against the
-    training chains its manifest records: a shared chain is a ValueError."""
+                  checkpoint_dir=None, workers: int = 1) -> list[EpisodeResult]:
+    """One EpisodeResult and one episode log per eval chain, in eval-seed
+    order. A trained planner's checkpoint is loaded once, after a check
+    against the training chains its manifest records: a shared chain is a
+    ValueError."""
     agents = None
     if spec.planner == "drl":
         trained = set(_read_manifest(checkpoint_dir).get("train_seeds", ()))
@@ -499,29 +490,40 @@ def evaluate_spec(spec: ExperimentSpec, world: ScenarioWorld,
         results = [eval_chain(*a) for a in args]
     log_dir = Path(spec.out_dir) / "episodes"
     log_dir.mkdir(parents=True, exist_ok=True)
-    for record, result in results:
-        result.write_csv(log_dir / f"chain_{record.chain_seed}.csv")
-    return [record for record, _ in results]
+    for result in results:
+        result.write_csv(log_dir / f"chain_{result.seed}.csv")
+    return results
 
 
-def write_run_summary(records: list[ChainRecord], out_dir) -> None:
+def _latency(decisions: list[tuple[str, float]]) -> dict:
+    """Count, mean and max wall seconds of (level, seconds) planner calls."""
+    lats = [dt for _, dt in decisions]
+    return {"decision_count": len(lats),
+            "latency_mean_s": float(np.mean(lats)) if lats else None,
+            "latency_max_s": float(np.max(lats)) if lats else None}
+
+
+def write_run_summary(results: list[EpisodeResult], out_dir) -> None:
+    """run_summary.csv (seed, incidents, mean response per chain) and
+    run_summary.json, which adds the planner-call latency figures derived
+    from each chain's decisions."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "run_summary.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["chain_seed", "n_incidents", "mean_response_s"])
-        for r in records:
-            w.writerow([r.chain_seed, r.n_incidents,
+        for r in results:
+            w.writerow([r.seed, r.n_incidents,
                         "" if r.mean_response_s is None else repr(r.mean_response_s)])
-    decisions = sum(r.decision_count for r in records)
-    latency = sum(r.latency_mean_s * r.decision_count for r in records if r.decision_count)
+    run = _latency([d for r in results for d in r.decisions])
     summary = {
-        "chains": len(records),
-        "mean_response_s": mean_response(records),
-        "decision_latency_mean_s": latency / decisions if decisions else None,
-        "decision_latency_max_s": max((r.latency_max_s for r in records
-                                       if r.latency_max_s is not None), default=None),
-        "per_chain": [asdict(r) for r in records],
+        "chains": len(results),
+        "mean_response_s": mean_response(results),
+        "decision_latency_mean_s": run["latency_mean_s"],
+        "decision_latency_max_s": run["latency_max_s"],
+        "per_chain": [{"chain_seed": r.seed, "n_incidents": r.n_incidents,
+                       "mean_response_s": r.mean_response_s, **_latency(r.decisions)}
+                      for r in results],
     }
     with open(out_dir / "run_summary.json", "w") as f:
         json.dump(summary, f, indent=2)
@@ -545,9 +547,9 @@ def noise_sweep(spec: ExperimentSpec, world: ScenarioWorld, checkpoint_dir,
         for s_time in sigmas:
             noisy = replace(spec, sigma_rate=s_rate, sigma_time=s_time,
                             out_dir=str(Path(spec.out_dir) / f"sigma_{s_rate!r}_{s_time!r}"))
-            records = evaluate_spec(noisy, world, checkpoint_dir, workers)
+            results = evaluate_spec(noisy, world, checkpoint_dir, workers)
             rows.append({"sigma_rate": s_rate, "sigma_time": s_time,
-                         "mean_response_s": mean_response(records)})
+                         "mean_response_s": mean_response(results)})
     return rows
 
 

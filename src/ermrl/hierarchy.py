@@ -64,12 +64,12 @@ class HierarchyController:
     hlp_planner:    optional object with plan_counts(sim, rng) -> {region: count}
     Region plans reach the simulator through sim.apply_depot_moves and city
     counts through apply_hlp_counts, which calls sim.apply_region_moves.
-    decision_latency holds one (level, wall seconds) entry per planner call of
-    the current episode, level "region" or "city". Both trainers subclass
-    the controller: region-agent training (harness.LlpTrainingController)
-    plans its region and stores a transition per plan, city-agent training
-    (harness.HlpTrainer) follows each redistribution cycle; both close their
-    episode in end_episode.
+    Each planner call appends (level, wall seconds) to sim.decisions, level
+    "region" or "city"; the episode's EpisodeResult carries that list. Both
+    trainers subclass the controller: region-agent training
+    (harness.LlpTrainingController) plans its region and stores a transition
+    per plan, city-agent training (harness.HlpTrainer) follows each
+    redistribution cycle; both close their episode in end_episode.
     """
 
     def __init__(self, world: ScenarioWorld, trigger: TriggerPolicy,
@@ -79,7 +79,6 @@ class HierarchyController:
         self.region_planner = region_planner
         self.hlp_planner = hlp_planner
         self.rng = np.random.default_rng(seed)
-        self.decision_latency: list[tuple[str, float]] = []
         self._last_hlp_t = None
         self._prev_rates: dict[int, float] | None = None
 
@@ -88,7 +87,6 @@ class HierarchyController:
     def begin_episode(self, sim: Simulator):
         self._last_hlp_t = None
         self._prev_rates = self.world.region_rates(0.0)
-        self.decision_latency = []
         for g in self.world.seg.region_ids:
             self._invoke_llp(sim, g)
 
@@ -137,14 +135,14 @@ class HierarchyController:
             return
         t0 = time.perf_counter()
         assignment = self.region_planner.plan_region(sim, region, self.rng)
-        self.decision_latency.append(("region", time.perf_counter() - t0))
+        sim.decisions.append(("region", time.perf_counter() - t0))
         if assignment:
             sim.apply_depot_moves(assignment)
 
     def _invoke_hlp(self, sim: Simulator) -> bool:
         t0 = time.perf_counter()
         counts_new = self.hlp_planner.plan_counts(sim, self.rng)
-        self.decision_latency.append(("city", time.perf_counter() - t0))
+        sim.decisions.append(("city", time.perf_counter() - t0))
         return bool(apply_hlp_counts(sim, counts_new))
 
 
@@ -185,12 +183,3 @@ class DdpgPlanner:
     def plan_counts(self, sim: Simulator, rng) -> dict[int, int]:
         obs = city_observation(sim, self.noise, rng)
         return city_decision(self.hlp_agent, obs, sim, False, rng)[1]
-
-
-def learned_controller(world: ScenarioWorld, trigger: TriggerPolicy, llp_agents: dict,
-                       hlp_agent=None, noise: NoiseModel | None = None,
-                       seed: int = 0) -> HierarchyController:
-    """Trained agents behind one DdpgPlanner; no city agent, no city planner."""
-    planner = DdpgPlanner(llp_agents, hlp_agent, noise=noise)
-    return HierarchyController(world, trigger, planner,
-                               planner if hlp_agent is not None else None, seed=seed)

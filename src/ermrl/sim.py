@@ -168,8 +168,10 @@ class DispatchRecord:
 
 @dataclass
 class EpisodeResult:
+    """One chain's record: its responses, its seed and its planner calls."""
     response_log: list[tuple[int, float, float]]  # (incident id, report_t_s, response_s)
-    horizon_s: float
+    seed: int
+    decisions: list[tuple[str, float]]  # (level "region" | "city", wall seconds) per call
 
     @property
     def n_incidents(self) -> int:
@@ -212,6 +214,7 @@ class Simulator:
         self._served = 0
         self._last_quiet_t = 0.0
         self.last_dispatch: DispatchRecord | None = None
+        self.decisions: list[tuple[str, float]] = []  # the controller's planner calls
 
         if initial_assignment is None:
             initial_assignment = default_initial_assignment(world, n_responders)
@@ -258,7 +261,7 @@ class Simulator:
             raise SimLogicError("event calendar exhausted with incidents unserved")
         if self.controller is not None and hasattr(self.controller, "end_episode"):
             self.controller.end_episode(self)
-        return EpisodeResult(self.response_log, self.chain.horizon_s)
+        return EpisodeResult(self.response_log, self.chain.seed, self.decisions)
 
     def _handle(self, ev: Event):
         if ev.kind == "incident":

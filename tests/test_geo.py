@@ -88,14 +88,14 @@ class TestNearCells:
         grid = line_grid(5)
         tm = geo.euclidean_travel_model(grid, 3600, [1.0] * 168)
         depots = {0: geo.Depot(0, 2)}
-        parts = geo.near_cells([0], depots, grid, tm, 0.0)
+        parts = geo.near_cells([0], depots, tm, 0.0)
         assert parts == {0: set(range(5))}
 
     def test_two_depot_line_matches_bruteforce(self):
         grid = line_grid(4)
         tm = geo.euclidean_travel_model(grid, 3600, [1.0] * 168)
         depots = {0: geo.Depot(0, 0), 1: geo.Depot(1, 3)}
-        parts = geo.near_cells([0, 1], depots, grid, tm, 0.0)
+        parts = geo.near_cells([0, 1], depots, tm, 0.0)
         # brute-force argmin per cell
         expected = {0: set(), 1: set()}
         for c in range(4):
@@ -108,7 +108,7 @@ class TestNearCells:
         grid = line_grid(3)
         tm = geo.euclidean_travel_model(grid, 3600, [1.0] * 168)
         depots = {4: geo.Depot(4, 0), 7: geo.Depot(7, 2)}
-        parts = geo.near_cells([7, 4], depots, grid, tm, 0.0)
+        parts = geo.near_cells([7, 4], depots, tm, 0.0)
         assert 1 in parts[4]  # middle cell equidistant
 
     def test_partition_property_random(self):
@@ -124,7 +124,7 @@ class TestNearCells:
             cells = rng.choice(n, size=k, replace=False)
             depots = {i: geo.Depot(i, int(c)) for i, c in enumerate(cells)}
             t = float(rng.uniform(0, 3 * 3600))
-            parts = geo.near_cells(sorted(depots), depots, grid, tm, t)
+            parts = geo.near_cells(sorted(depots), depots, tm, t)
             union = set()
             for s in parts.values():
                 assert not (union & s)
@@ -137,7 +137,7 @@ class TestNearbyRates:
         grid = line_grid(3)
         tm = geo.euclidean_travel_model(grid, 3600, [1.0] * 168)
         depots = {0: geo.Depot(0, 1)}
-        lam = geo.nearby_rates([0], depots, grid, tm, uniform_rates(3, 0.0), 0.0)
+        lam = geo.nearby_rates([0], depots, tm, uniform_rates(3, 0.0), 0.0)
         assert lam[0] == 0.0
 
     def test_single_depot_sums_all(self):
@@ -145,7 +145,7 @@ class TestNearbyRates:
         tm = geo.euclidean_travel_model(grid, 3600, [1.0] * 168)
         depots = {0: geo.Depot(0, 0)}
         rm = geo.RateModel(3600, np.array([[0.1, 0.2, 0.3]]))
-        lam = geo.nearby_rates([0], depots, grid, tm, rm, 0.0)
+        lam = geo.nearby_rates([0], depots, tm, rm, 0.0)
         assert lam[0] == pytest.approx(0.6)
 
     def test_rates_near_other_depot(self):
@@ -153,9 +153,9 @@ class TestNearbyRates:
         tm = geo.euclidean_travel_model(grid, 3600, [1.0] * 168)
         depots = {0: geo.Depot(0, 0), 1: geo.Depot(1, 3)}
         rm = geo.RateModel(3600, np.array([[0.0, 0.0, 0.5, 0.5]]))
-        parts = geo.near_cells([0, 1], depots, grid, tm, 0.0)
+        parts = geo.near_cells([0, 1], depots, tm, 0.0)
         assert {2, 3} <= parts[1]
-        lam = geo.nearby_rates([0, 1], depots, grid, tm, rm, 0.0)
+        lam = geo.nearby_rates([0, 1], depots, tm, rm, 0.0)
         assert lam[0] == 0.0
         assert lam[1] == pytest.approx(1.0)
 
@@ -188,8 +188,8 @@ class TestNearbyRateTable:
         assert len(times) == 14 + 21 - 7
         for t in times:
             for s in (t, t + 3599.5):
-                fresh = geo.nearby_rates(world.depot_ids, world.depots, world.grid,
-                                         world.travel, world.rates, s)
+                fresh = geo.nearby_rates(world.depot_ids, world.depots, world.travel,
+                                         world.rates, s)
                 assert dict(world.nearby_rates_at(s)) == fresh
 
     def test_one_computation_per_bucket_pair(self, monkeypatch):

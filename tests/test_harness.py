@@ -1,7 +1,7 @@
 import csv
 import itertools
 import json
-from dataclasses import replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -135,8 +135,8 @@ class TestTrainingPipeline:
         monkeypatch.setattr(hlp, "observe", stored.append)
         trainer = harness.HlpTrainer(hlp, llp_agents, world, np.random.default_rng(9))
         chain = sim.sample_chain(world.rates, 86400.0, 0)
-        sim.run_episode(world, chain, trainer, sim.SimConfig(), n_responders=3)
-        n_plans = sum(level == "city" for level, _ in trainer.decision_latency)
+        result = sim.run_episode(world, chain, trainer, sim.SimConfig(), n_responders=3)
+        n_plans = sum(level == "city" for level, _ in result.decisions)
         assert n_plans > 1
         assert [tr.terminal for tr in stored] == [False] * (n_plans - 1) + [True]
 
@@ -157,9 +157,9 @@ class TestTrainingPipeline:
         monkeypatch.setattr(agent, "observe", observing)
         monkeypatch.setattr(agent, "train_step", training)
         trainer = harness.LlpTrainingController(agent, world, np.random.default_rng(9))
-        harness.run_region_episode(world, 0, trainer, chain_seed=0,
-                                   horizon_s=86400.0, fleet=2)
-        n_plans = sum(level == "region" for level, _ in trainer.decision_latency)
+        result = harness.run_region_episode(world, 0, trainer, chain_seed=0,
+                                            horizon_s=86400.0, fleet=2)
+        n_plans = sum(level == "region" for level, _ in result.decisions)
         assert n_plans > 1
         assert [tr.terminal for tr in stored] == [False] * (n_plans - 1) + [True]
         assert any(tr.reward < 0 for tr in stored)
@@ -243,6 +243,49 @@ class TestCheckpointFitsWorld:
             harness.load_agents(tmp_path, world)
 
 
+@dataclass
+class FrozenChainRecord:
+    """The per-chain record run summaries were written from before each
+    chain's EpisodeResult carried its seed and planner calls."""
+    chain_seed: int
+    n_incidents: int
+    mean_response_s: float | None
+    decision_count: int
+    latency_mean_s: float | None
+    latency_max_s: float | None
+
+
+def frozen_chain_record(result):
+    lats = [dt for _, dt in result.decisions]
+    return FrozenChainRecord(result.seed, result.n_incidents, result.mean_response_s,
+                             len(lats), float(np.mean(lats)) if lats else None,
+                             float(np.max(lats)) if lats else None)
+
+
+def frozen_write_run_summary(records, out_dir):
+    """write_run_summary as it was over FrozenChainRecords."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / "run_summary.csv", "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["chain_seed", "n_incidents", "mean_response_s"])
+        for r in records:
+            w.writerow([r.chain_seed, r.n_incidents,
+                        "" if r.mean_response_s is None else repr(r.mean_response_s)])
+    decisions = sum(r.decision_count for r in records)
+    latency = sum(r.latency_mean_s * r.decision_count for r in records if r.decision_count)
+    summary = {
+        "chains": len(records),
+        "mean_response_s": harness.mean_response(records),
+        "decision_latency_mean_s": latency / decisions if decisions else None,
+        "decision_latency_max_s": max((r.latency_max_s for r in records
+                                       if r.latency_max_s is not None), default=None),
+        "per_chain": [asdict(r) for r in records],
+    }
+    with open(out_dir / "run_summary.json", "w") as f:
+        json.dump(summary, f, indent=2)
+
+
 class TestEvaluation:
     def test_static_eval_bit_identical_csvs(self, tmp_path):
         world = two_region_world(rates_by_bucket=[[1.0, 0.5, 0.2, 0.1, 0.4, 0.8]])
@@ -251,9 +294,9 @@ class TestEvaluation:
             eval_seeds=(50, 51), horizon_s=12 * 3600.0, fleet_size=2)
         paths = []
         for name in ("a", "b"):
-            records = harness.evaluate_spec(spec, world)
+            results = harness.evaluate_spec(spec, world)
             out = tmp_path / name
-            harness.write_run_summary(records, out)
+            harness.write_run_summary(results, out)
             paths.append(out / "run_summary.csv")
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -264,10 +307,10 @@ class TestEvaluation:
             spec = harness.ExperimentSpec(
                 scenario_path="unused", planner="greedy", out_dir=str(tmp_path / name),
                 eval_seeds=(50, 51), horizon_s=12 * 3600.0, fleet_size=2)
-            records = harness.evaluate_spec(spec, world)
-            logs.append([tmp_path / name / "episodes" / f"chain_{r.chain_seed}.csv"
-                         for r in records])
-            for r, path in zip(records, logs[-1]):
+            results = harness.evaluate_spec(spec, world)
+            logs.append([tmp_path / name / "episodes" / f"chain_{r.seed}.csv"
+                         for r in results])
+            for r, path in zip(results, logs[-1]):
                 with open(path, newline="") as f:
                     rows = list(csv.DictReader(f))
                 assert r.n_incidents > 0
@@ -299,9 +342,9 @@ class TestEvaluation:
                     out_dir=str(tmp_path / f"{planner}{workers}"),
                     eval_seeds=(50, 51, 52), horizon_s=12 * 3600.0, fleet_size=2,
                     mcts=MctsConfig(iteration_limit=8, n_samples=2))
-                records = harness.evaluate_spec(spec, world, tmp_path / "ckpt", workers)
-                out[workers] = [(r.chain_seed, r.n_incidents, r.mean_response_s,
-                                 r.decision_count) for r in records]
+                results = harness.evaluate_spec(spec, world, tmp_path / "ckpt", workers)
+                out[workers] = [(r.seed, r.n_incidents, r.mean_response_s,
+                                 len(r.decisions)) for r in results]
             assert out[2] == out[1]
             assert all(r[3] for r in out[1]) == (planner != "static")
 
@@ -318,16 +361,16 @@ class TestEvaluation:
         spec = harness.ExperimentSpec(scenario_path="unused", planner="drl",
                                       out_dir=str(tmp_path / "run"), eval_seeds=(50, 51, 52),
                                       horizon_s=12 * 3600.0, fleet_size=2)
-        records = harness.evaluate_spec(spec, world, ckpt)
+        results = harness.evaluate_spec(spec, world, ckpt)
         assert len(loads) == 1
         # oracle: a freshly loaded controller per chain
-        for r in records:
-            ctrl = harness.build_controller(spec, world, ckpt, r.chain_seed)
-            chain = sim.sample_chain(world.rates, spec.horizon_s, r.chain_seed)
+        for r in results:
+            ctrl = harness.build_controller(spec, world, ckpt, r.seed)
+            chain = sim.sample_chain(world.rates, spec.horizon_s, r.seed)
             result = sim.run_episode(world, chain, ctrl, sim.SimConfig(), n_responders=2)
             result.write_csv(tmp_path / "oracle.csv")
-            assert {level for level, _ in ctrl.decision_latency} == {"region", "city"}
-            assert ((tmp_path / "run" / "episodes" / f"chain_{r.chain_seed}.csv").read_bytes()
+            assert {level for level, _ in result.decisions} == {"region", "city"}
+            assert ((tmp_path / "run" / "episodes" / f"chain_{r.seed}.csv").read_bytes()
                     == (tmp_path / "oracle.csv").read_bytes())
 
     def test_eval_chains_must_miss_the_manifests_training_chains(self, tmp_path):
@@ -341,9 +384,9 @@ class TestEvaluation:
         with pytest.raises(ValueError, match=r"eval chains \[2\]"):
             harness.evaluate_spec(spec, world, tmp_path / "ckpt")
         assert not (tmp_path / "run").exists()
-        records = harness.evaluate_spec(replace(spec, eval_seeds=(3,)), world,
+        results = harness.evaluate_spec(replace(spec, eval_seeds=(3,)), world,
                                         tmp_path / "ckpt")
-        assert [r.chain_seed for r in records] == [3]
+        assert [r.seed for r in results] == [3]
 
     def test_compare_runs_table(self):
         ref = [(0, 100.0), (1, 110.0), (2, 90.0), (3, 105.0)]
@@ -354,13 +397,37 @@ class TestEvaluation:
         assert 0.0 < rows[0]["p_value"] <= 1.0
 
     def test_summary_latency_weights_chains_by_decision_count(self, tmp_path):
-        records = [harness.ChainRecord(50, 10, 200.0, 1, 0.010, 0.010),
-                   harness.ChainRecord(51, 10, 210.0, 3, 0.002, 0.004),
-                   harness.ChainRecord(52, 0, None, 0, None, None)]
-        harness.write_run_summary(records, tmp_path)
+        results = [sim.EpisodeResult([(i, 0.0, 200.0) for i in range(10)], 50,
+                                     [("region", 0.010)]),
+                   sim.EpisodeResult([(i, 0.0, 210.0) for i in range(10)], 51,
+                                     [("region", 0.001), ("city", 0.001), ("region", 0.004)]),
+                   sim.EpisodeResult([], 52, [])]
+        harness.write_run_summary(results, tmp_path)
         summary = json.loads((tmp_path / "run_summary.json").read_text())
         assert summary["decision_latency_mean_s"] == pytest.approx((0.010 + 3 * 0.002) / 4)
         assert summary["decision_latency_max_s"] == 0.010
+
+    def test_run_summary_keeps_the_chain_record_format(self, tmp_path):
+        world = two_region_world(rates_by_bucket=[[1.0, 0.5, 0.2, 0.1, 0.4, 0.8]])
+        spec = harness.ExperimentSpec(
+            scenario_path="unused", planner="greedy", out_dir=str(tmp_path / "run"),
+            eval_seeds=(50, 51, 52), horizon_s=12 * 3600.0, fleet_size=2)
+        results = harness.evaluate_spec(spec, world)
+        harness.write_run_summary(results, tmp_path / "new")
+        frozen_write_run_summary([frozen_chain_record(r) for r in results], tmp_path / "old")
+        assert ((tmp_path / "new" / "run_summary.csv").read_bytes()
+                == (tmp_path / "old" / "run_summary.csv").read_bytes())
+        new, old = (json.loads((tmp_path / d / "run_summary.json").read_text())
+                    for d in ("new", "old"))
+        assert list(new) == list(old)
+        assert [list(c) for c in new["per_chain"]] == [list(c) for c in old["per_chain"]]
+        assert (new["chains"], new["mean_response_s"]) == (old["chains"], old["mean_response_s"])
+        deterministic = ("chain_seed", "n_incidents", "mean_response_s", "decision_count")
+        assert ([[c[k] for k in deterministic] for c in new["per_chain"]]
+                == [[c[k] for k in deterministic] for c in old["per_chain"]])
+        assert all(c["decision_count"] for c in new["per_chain"])
+        assert new["decision_latency_mean_s"] == pytest.approx(old["decision_latency_mean_s"])
+        assert new["decision_latency_max_s"] == old["decision_latency_max_s"]
 
     def test_default_eval_fleet_leaves_search_a_move(self, tmp_path):
         # a responder on every depot would make search return the static result
@@ -384,15 +451,15 @@ class TestEvaluation:
                                       out_dir=str(tmp_path), fleet_size=2)
         ctrl = harness.build_controller(spec, world, tmp_path, chain_seed=50)
         chain = sim.sample_chain(world.rates, 12 * 3600.0, 50)
-        sim.run_episode(world, chain, ctrl, sim.SimConfig(), n_responders=2)
-        assert ctrl.decision_latency
-        assert {level for level, _ in ctrl.decision_latency} == {"region"}
+        result = sim.run_episode(world, chain, ctrl, sim.SimConfig(), n_responders=2)
+        assert result.decisions
+        assert {level for level, _ in result.decisions} == {"region"}
 
     def test_random_planner_eval(self, tmp_path):
         world = two_region_world(rates_by_bucket=[[1.0, 0.5, 0.2, 0.1, 0.4, 0.8]])
         spec = harness.ExperimentSpec(
             scenario_path="unused", planner="random", out_dir=str(tmp_path),
             eval_seeds=(50,), horizon_s=6 * 3600.0, fleet_size=2)
-        records = harness.evaluate_spec(spec, world)
-        assert records[0].n_incidents > 0
-        assert records[0].decision_count > 0
+        results = harness.evaluate_spec(spec, world)
+        assert results[0].n_incidents > 0
+        assert len(results[0].decisions) > 0

@@ -175,15 +175,15 @@ class TestDecisionLatency:
         ctrl = hierarchy.HierarchyController(
             world, hierarchy.TriggerPolicy(mode="baseline"), llp, hlp)
         chain = chain_of([(100.0, 1), (9000.0, 4)], 4 * 3600)
-        for _ in range(2):  # begin_episode starts a fresh record
+        for _ in range(2):  # each episode's record holds only its own calls
             llp.calls.clear()
             hlp.calls.clear()
-            run(world, chain, ctrl, idle_timeout=3600.0)
-            levels = [level for level, _ in ctrl.decision_latency]
+            result = run(world, chain, ctrl, idle_timeout=3600.0)
+            levels = [level for level, _ in result.decisions]
             assert levels.count("region") == len(llp.calls)
             assert levels.count("city") == len(hlp.calls)
             assert len(levels) == len(llp.calls) + len(hlp.calls)
-            assert all(dt >= 0.0 for _, dt in ctrl.decision_latency)
+            assert all(dt >= 0.0 for _, dt in result.decisions)
         assert sorted(g for t, g in llp.calls if t == 0.0) == [0, 1]
 
 

@@ -1,5 +1,7 @@
-"""Every top-level import in the package is used by its module, and every
-import, at any depth, comes from the standard library, numpy or the package."""
+"""Every top-level import in the package is used by its module, every
+import, at any depth, comes from the standard library, numpy or the package,
+and every top-level function and class of the package is named somewhere in
+src, tests or bench outside its own definition."""
 
 import ast
 import sys
@@ -48,6 +50,58 @@ def test_detector_accepts_attribute_use_and_reexports():
 @pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+REPO_DIR = Path(__file__).resolve().parent.parent
+
+
+def referenced_names(source: str) -> set[str]:
+    """Identifiers the module reads, imports, or names as a whole string (as
+    getattr and monkeypatch.setattr take them); what a top-level function or
+    class says of its own name inside its own definition does not count."""
+    names = set()
+    for top in ast.parse(source).body:
+        own = top.name if isinstance(top, DEFINITIONS) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                found = [node.id]
+            elif isinstance(node, ast.Attribute):
+                found = [node.attr]
+            elif isinstance(node, ast.alias):
+                found = [node.name.split(".")[-1]]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found = [node.value] if node.value.isidentifier() else []
+            else:
+                continue
+            names.update(name for name in found if name != own)
+    return names
+
+
+def unreferenced_definitions(source: str, references: set[str]) -> list[str]:
+    """The module's top-level functions and classes that no reference names."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, DEFINITIONS) and node.name not in references]
+
+
+def test_detector_flags_an_unreferenced_definition():
+    src = ("def used():\n    pass\n\ndef lonely():\n    return lonely()\n\n"
+           "class Named:\n    pass\n\nclass Imported:\n    pass\n")
+    elsewhere = "from m import Imported\nm.used()\ngetattr(m, 'Named')\n"
+    refs = referenced_names(src) | referenced_names(elsewhere)
+    assert unreferenced_definitions(src, refs) == ["lonely"]
+
+
+@pytest.fixture(scope="module")
+def repo_references() -> set[str]:
+    paths = [*PACKAGE_DIR.glob("*.py"), *(REPO_DIR / "tests").glob("*.py"),
+             *(REPO_DIR / "bench").glob("*.py")]
+    return set().union(*(referenced_names(p.read_text()) for p in paths))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_every_definition_is_named_elsewhere(path, repo_references):
+    assert unreferenced_definitions(path.read_text(), repo_references) == []
 
 
 def foreign_imports(source: str) -> list[str]:
