@@ -11,6 +11,7 @@ instead of raw response times.
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass
 
@@ -74,9 +75,9 @@ class DdpgAgent:
         self.cfg = cfg
         self.gamma = gamma
         self.actor = actor
-        self.actor_target = nn.clone(actor)
+        self.actor_target = copy.deepcopy(actor)
         self.critic = critic
-        self.critic_target = nn.clone(critic)
+        self.critic_target = copy.deepcopy(critic)
         self.actor_opt = nn.adam_init(actor)
         self.critic_opt = nn.adam_init(critic)
         self.buffer = ReplayBuffer(cfg.buffer_capacity)
@@ -102,7 +103,7 @@ class DdpgAgent:
         city agent has nothing to distribute)."""
         cfg = self.cfg
         n = cfg.batch_size
-        if len(self.buffer) < n or self.actor.arrays()[-1].size == 0:
+        if len(self.buffer) < n or self.actor.n_outputs == 0:
             return None
         batch = self.buffer.sample(n, rng)
 
@@ -199,9 +200,7 @@ class LlpAgent(DdpgAgent):
         draws in that order); observations without responders add zero. The
         critic's value flows back through the occupancy and arrival features."""
         n = len(observations)
-        q_sum, grads = 0.0, nn.clone(self.actor)
-        for a in grads.arrays():
-            a[...] = 0.0
+        q_sum, grads = 0.0, [np.zeros_like(a) for a in self.actor.arrays()]
         for count, members, phi, lam in group_by_count(observations):
             if not count:
                 continue
@@ -212,7 +211,7 @@ class LlpAgent(DdpgAgent):
             _, g = nn.trxl_backward(self.actor, a_cache,
                                     critic_features_grad(phi, probs, dfeat[:, 0]))
             q_sum += float(q.sum())
-            for total, part in zip(grads.arrays(), g.arrays()):
+            for total, part in zip(grads, g, strict=True):
                 total += part
         return q_sum / n, grads
 

@@ -378,8 +378,9 @@ def load_agents(path_dir, world: ScenarioWorld) -> tuple[dict[int, LlpAgent], Hl
 
 def _check_fits(nets: dict, world: ScenarioWorld) -> None:
     """Raise ValueError unless the checkpoint holds one region agent per world
-    region, each with one output per depot of its region, and a city agent,
-    if any, with one output per region but the last."""
+    region, each with all four networks and one output per depot of its
+    region, and a city agent, if any, with all four networks and one output
+    per region but the last."""
     regions = world.seg.region_ids
     saved = {int(name[3:name.index("_")]) for name in nets if name.startswith("llp")}
     unmatched = sorted(saved ^ set(regions))
@@ -388,6 +389,13 @@ def _check_fits(nets: dict, world: ScenarioWorld) -> None:
         raise ValueError(f"region {g} is in the {'checkpoint' if g in saved else 'world'} "
                          f"only: the checkpoint holds regions {sorted(saved)}, "
                          f"the world {sorted(regions)}")
+    prefixes = [f"llp{g}" for g in regions]
+    if any(name.startswith("hlp") for name in nets):
+        prefixes.append("hlp")
+    missing = [f"{p}_{role}" for p in prefixes for role in _NETWORK_ROLES
+               if f"{p}_{role}" not in nets]
+    if missing:
+        raise ValueError(f"the checkpoint lacks the networks {missing}")
     for g in regions:
         n, depots = nets[f"llp{g}_actor"].n_outputs, len(world.region_depots(g))
         if n != depots:

@@ -10,8 +10,8 @@ Every pass takes an optional leading batch axis: (B, n, k) inputs run as B
 stacked (n, k) samples. A stacked matmul runs each sample through the kernel an
 unbatched call uses, so outputs and input gradients are the unbatched bits; a
 flattened (B * n, k) product would not be (a one-row sample takes the gemv
-path). Parameter gradients are shaped like the parameters: summed over every
-leading axis, each weight gradient one contraction over the flattened rows.
+path). A backward pass returns its parameter gradients as a list aligned with
+arrays(), each summed over every leading axis (one contraction over the rows).
 
 A decision runs one forward pass on a few rows, so its cost is per-call
 overhead rather than arithmetic: the layer norm and softmax call the reduce
@@ -22,7 +22,6 @@ operations in the same order (the tests compare the bits). Checkpoints
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import dataclass
@@ -139,16 +138,16 @@ def mlp_forward(p: MlpParams, x: Array, train: bool = False,
     return h, cache
 
 
-def mlp_backward(p: MlpParams, cache: list, dy: Array) -> tuple[Array, MlpParams]:
+def mlp_backward(p: MlpParams, cache: list, dy: Array) -> tuple[Array, list[Array]]:
     dh = np.atleast_2d(np.asarray(dy, dtype=float))
-    grads = []
+    grads: list[Array] = []
     for layer, (h_in, pre, mask) in zip(reversed(p.layers), reversed(cache)):
         if mask is not None:
             dh = dh * mask
         dz = dh * _ACTIVATIONS[layer.activation][1](pre)
-        grads.append(DenseLayer(*_affine_grads(h_in, dz), layer.activation, layer.dropout))
+        grads[:0] = _affine_grads(h_in, dz)
         dh = dz @ layer.w.T
-    return dh, MlpParams(grads[::-1])
+    return dh, grads
 
 
 # --- layer norm ---------------------------------------------------------------
@@ -179,13 +178,13 @@ def norm_forward(p: NormParams, x: Array) -> tuple[Array, tuple]:
     return xhat * p.gain + p.bias, (xhat, inv)
 
 
-def norm_backward(p: NormParams, cache: tuple, dy: Array) -> tuple[Array, NormParams]:
+def norm_backward(p: NormParams, cache: tuple, dy: Array) -> tuple[Array, list[Array]]:
     xhat, inv = cache
     dxhat = dy * p.gain
     mean_d = dxhat.mean(axis=-1, keepdims=True)
     mean_dx = (dxhat * xhat).mean(axis=-1, keepdims=True)
     dx = inv * (dxhat - mean_d - xhat * mean_dx)
-    return dx, NormParams(_rows(dy * xhat).sum(axis=0), _rows(dy).sum(axis=0))
+    return dx, [_rows(dy * xhat).sum(axis=0), _rows(dy).sum(axis=0)]
 
 
 # --- multi-head attention -----------------------------------------------------
@@ -237,10 +236,9 @@ def mha_forward(p: MhaParams, x: Array) -> tuple[Array, tuple]:
     return y, (x, q, k, v, attn, merged, scale)
 
 
-def mha_backward(p: MhaParams, cache: tuple, dy: Array) -> tuple[Array, MhaParams]:
+def mha_backward(p: MhaParams, cache: tuple, dy: Array) -> tuple[Array, list[Array]]:
     x, q, k, v, attn, merged, scale = cache
-    h = p.n_heads
-    dheads = _split_heads(dy @ p.wo.T, h)
+    dheads = _split_heads(dy @ p.wo.T, p.n_heads)
     dattn = dheads @ _t(v)
     dv = _t(attn) @ dheads
     dscores = softmax_rows_backward(attn, dattn)
@@ -248,11 +246,10 @@ def mha_backward(p: MhaParams, cache: tuple, dy: Array) -> tuple[Array, MhaParam
     dk = (_t(dscores) @ q) * scale
     flats = [_merge_heads(d) for d in (dq, dk, dv)]
     dx = sum(f @ w.T for f, w in zip(flats, (p.wq, p.wk, p.wv)))
-    grads = MhaParams(*(g for f in flats for g in _affine_grads(x, f)),
-                      *_affine_grads(merged, dy), n_heads=h)
-    # the key bias shifts each row of scores by one constant, which softmax
-    # ignores: its gradient is 0, and the computed sum only rounding noise
-    grads.bk[...] = 0.0
+    grads = [g for f in flats for g in _affine_grads(x, f)] + [*_affine_grads(merged, dy)]
+    # the key bias (grads[3]) shifts each row of scores by one constant, which
+    # softmax ignores: its gradient is 0, and the computed sum only rounding noise
+    grads[3][...] = 0.0
     return dx, grads
 
 
@@ -334,11 +331,10 @@ def trxl_forward(p: TrxlParams, x: Array, train: bool = False,
     return probs, cache
 
 
-def trxl_backward(p: TrxlParams, cache: dict, dprobs: Array) -> tuple[Array, TrxlParams]:
+def trxl_backward(p: TrxlParams, cache: dict, dprobs: Array) -> tuple[Array, list[Array]]:
     dlogits = softmax_rows_backward(cache["probs"], np.asarray(dprobs, dtype=float))
-    out_proj = DenseLayer(*_affine_grads(cache["pre_out"], dlogits))
     dh = dlogits @ p.out_proj.w.T
-    layers = []
+    layers: list[Array] = []
     for layer, (mha_cache, n1_cache, mlp_cache, n2_cache) in zip(reversed(p.layers),
                                                                 reversed(cache["layers"])):
         dsum2, g_norm_mlp = norm_backward(layer.norm_mlp, n2_cache, dh)
@@ -346,9 +342,9 @@ def trxl_backward(p: TrxlParams, cache: dict, dprobs: Array) -> tuple[Array, Trx
         dsum1, g_norm_mha = norm_backward(layer.norm_mha, n1_cache, dsum2 + dmlp_in)
         dmha_in, g_mha = mha_backward(layer.mha, mha_cache, dsum1)
         dh = dsum1 + dmha_in
-        layers.append(TrxlLayer(g_mha, g_norm_mha, g_mlp, g_norm_mlp))
-    in_proj = DenseLayer(*_affine_grads(cache["x"], dh))
-    return dh @ p.in_proj.w.T, TrxlParams(in_proj, layers[::-1], out_proj)
+        layers[:0] = g_mha + g_norm_mha + g_mlp + g_norm_mlp
+    return dh @ p.in_proj.w.T, [*_affine_grads(cache["x"], dh), *layers,
+                                *_affine_grads(cache["pre_out"], dlogits)]
 
 
 # --- optimizer ------------------------------------------------------------------
@@ -369,13 +365,16 @@ def adam_init(params) -> AdamState:
                      [np.zeros_like(a) for a in arrays])
 
 
-def adam_step(state: AdamState, params, grads, lr: float):
-    """One Adam update, in place on the parameter arrays."""
+def adam_step(state: AdamState, params, grads: list[Array], lr: float):
+    """One Adam update, in place on params.arrays(); misaligned grads raise first."""
+    arrays = params.arrays()
+    if [g.shape for g in grads] != [a.shape for a in arrays]:
+        raise ValueError("gradients do not match params.arrays() in length and shapes")
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
-    for i, (a, g) in enumerate(zip(params.arrays(), grads.arrays())):
+    for i, (a, g) in enumerate(zip(arrays, grads)):
         state.m[i] = b1 * state.m[i] + (1 - b1) * g
         state.v[i] = b2 * state.v[i] + (1 - b2) * g * g
         a -= lr * (state.m[i] / c1) / (np.sqrt(state.v[i] / c2) + ADAM_EPS)
@@ -383,14 +382,9 @@ def adam_step(state: AdamState, params, grads, lr: float):
 
 def soft_update(target, online, tau: float):
     """Polyak averaging: target <- (1 - tau) * target + tau * online."""
-    for t_arr, o_arr in zip(target.arrays(), online.arrays()):
+    for t_arr, o_arr in zip(target.arrays(), online.arrays(), strict=True):
         t_arr *= 1.0 - tau
         t_arr += tau * o_arr
-
-
-def clone(params):
-    """Deep copy of a parameter container (targets start as exact copies)."""
-    return copy.deepcopy(params)
 
 
 # --- checkpoints ------------------------------------------------------------------
@@ -444,17 +438,23 @@ def save_checkpoint(path, named_params: dict) -> None:
 
 def load_checkpoint(path) -> dict:
     with np.load(path) as data:
+        if "__meta__" not in data.files:
+            raise ValueError(f"checkpoint {path} has no __meta__ member")
         meta = json.loads(bytes(data["__meta__"]).decode())
+        for key in ("version", "entries"):
+            if key not in meta:
+                raise ValueError(f"checkpoint {path} has no {key} in its __meta__")
         if meta["version"] != _CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta['version']}")
+        if "params" not in data.files:
+            raise ValueError(f"checkpoint {path} has no params member")
         flat = data["params"]
     out = {name: _build(spec) for name, spec in meta["entries"].items()}
     arrays = [a for p in out.values() for a in p.arrays()]
-    total = sum(a.size for a in arrays)
-    if flat.shape != (total,):
-        raise ValueError(f"checkpoint holds {flat.size} parameters, its entries describe {total}")
-    start = 0
-    for a in arrays:
-        a[...] = flat[start:start + a.size].reshape(a.shape)
-        start += a.size
+    sizes = [a.size for a in arrays]
+    if flat.shape != (sum(sizes),):
+        raise ValueError(f"checkpoint holds {flat.size} parameters, "
+                         f"its entries describe {sum(sizes)}")
+    for a, part in zip(arrays, np.split(flat, np.cumsum(sizes)[:-1])):
+        a[...] = part.reshape(a.shape)
     return out

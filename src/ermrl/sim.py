@@ -196,7 +196,9 @@ class Simulator:
 
     Planners change it only through apply_depot_moves (new depots inside the
     responders' regions) and apply_region_moves (depots in other regions),
-    which reroute available responders at once and check depot capacity."""
+    which reroute available responders at once and check depot capacity. The
+    fleet is explicit: an initial assignment, or a responder count that
+    default_initial_assignment spreads over the regions."""
 
     def __init__(self, world: ScenarioWorld, chain: IncidentChain,
                  config: SimConfig, controller=None,
@@ -217,6 +219,8 @@ class Simulator:
         self.decisions: list[tuple[str, float]] = []  # the controller's planner calls
 
         if initial_assignment is None:
+            if n_responders is None:
+                raise ValueError("the simulator needs an initial_assignment or n_responders")
             initial_assignment = default_initial_assignment(world, n_responders)
         self.responders: dict[int, ResponderState] = {}
         for rid, depot in sorted(initial_assignment.items()):
@@ -405,15 +409,13 @@ class Simulator:
         return sorted(rid for rid, r in self.responders.items() if r.region == region)
 
 
-def default_initial_assignment(world: ScenarioWorld, n_responders: int | None = None) -> dict[int, int]:
+def default_initial_assignment(world: ScenarioWorld, n_responders: int) -> dict[int, int]:
     """Spread responders over regions proportionally to initial region rates,
     then fill each region's lowest-id depots."""
     from .optim import greedy_redistribute
 
     caps = world.region_caps()
     region_ids = sorted(caps)
-    if n_responders is None:
-        n_responders = len(world.depots)
     rates = world.region_rates(0.0)
     rates0 = np.array([rates[g] for g in region_ids])
     p = rates0 / rates0.sum() if rates0.sum() > 0 else np.ones(len(region_ids)) / len(region_ids)

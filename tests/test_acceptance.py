@@ -122,7 +122,7 @@ def test_criterion_1_combinatorial_oracles():
 # --- criterion 2: gradient correctness -------------------------------------------
 
 def _check_grads(params, loss_fn, grads, eps=1e-4, rtol=1e-4):
-    for a, g in zip(params.arrays(), grads.arrays()):
+    for a, g in zip(params.arrays(), grads):
         flat, gflat = a.ravel(), g.ravel()
         for idx in range(flat.size):
             old = flat[idx]

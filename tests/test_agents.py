@@ -150,7 +150,7 @@ class TestLlpTraining:
 
         _, grads = agent.actor_gradients([obs])
         eps = 1e-5
-        for a, g in zip(agent.actor.arrays(), grads.arrays()):
+        for a, g in zip(agent.actor.arrays(), grads, strict=True):
             flat, gflat = a.ravel(), g.ravel()
             for idx in range(flat.size):
                 old = flat[idx]
@@ -312,10 +312,7 @@ class TestFleetSampling:
 # --- the batched update against the per-transition loop it replaces ----------------
 
 def _zero_grads(params):
-    grads = nn.clone(params)
-    for a in grads.arrays():
-        a[...] = 0.0
-    return grads
+    return [np.zeros_like(a) for a in params.arrays()]
 
 
 def _llp_sample_grads(agent, obs, rng):
@@ -369,9 +366,9 @@ def reference_train_step(agent, rng):
         err = float(q[0, 0]) - y
         critic_loss += err * err
         _, g = nn.mlp_backward(agent.critic, cache, np.array([[2.0 * err]]))
-        for total, a in zip(critic_grads.arrays(), g.arrays()):
+        for total, a in zip(critic_grads, g, strict=True):
             total += a
-    for total in critic_grads.arrays():
+    for total in critic_grads:
         total *= 1.0 / cfg.batch_size
     nn.adam_step(agent.critic_opt, agent.critic, critic_grads, cfg.lr)
 
@@ -382,9 +379,9 @@ def reference_train_step(agent, rng):
             continue
         q, g = (_llp_sample_grads if llp else _hlp_sample_grads)(agent, tr.obs, rng)
         actor_q += q
-        for total, a in zip(actor_grads.arrays(), g.arrays()):
+        for total, a in zip(actor_grads, g, strict=True):
             total += a
-    for total in actor_grads.arrays():
+    for total in actor_grads:
         total *= 1.0 / cfg.batch_size
     nn.adam_step(agent.actor_opt, agent.actor, actor_grads, cfg.lr)
     nn.soft_update(agent.actor_target, agent.actor, cfg.tau)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ermrl import cli
+from ermrl import cli, nn
 from ermrl.agents import DdpgConfig
 from ermrl.cli import main
 
@@ -185,6 +185,45 @@ def test_unknown_ddpg_setting_in_manifest_is_a_config_error(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "run"), "--seed", "5", "--fleet", "1",
                  "--eval-seeds", "50:51", "--horizon-days", "0.1"]) == 2
     assert "['hlp_bandit', 'no_such_setting']" in capsys.readouterr().err
+
+
+def _drop_member(path, member):
+    with np.load(path) as data:
+        kept = {name: data[name] for name in data.files if name != member}
+    np.savez(path, **kept)
+
+
+def _drop_meta_key(path, key):
+    with np.load(path) as data:
+        meta, flat = json.loads(bytes(data["__meta__"]).decode()), data["params"]
+    del meta[key]
+    np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+             params=flat)
+
+
+def _drop_network(path, name):
+    nets = nn.load_checkpoint(path)
+    del nets[name]
+    nn.save_checkpoint(path, nets)
+
+
+# one case per kind: an npz member, a meta key, one of an agent's networks;
+# test_nn and test_harness cover the others
+@pytest.mark.parametrize("corrupt, message", [
+    (functools.partial(_drop_member, member="params"), "no params member"),
+    (functools.partial(_drop_meta_key, key="version"), "no version in its __meta__"),
+    (functools.partial(_drop_network, name="llp0_critic_target"), "llp0_critic_target"),
+], ids=["no_params", "no_version", "no_critic_target"])
+def test_malformed_checkpoint_is_a_config_error(tmp_path, capsys, corrupt, message):
+    scenario = tiny_scenario(tmp_path)
+    ckpt = tmp_path / "ckpt"
+    train_tiny(scenario, ckpt, "0:2", "50:51")
+    corrupt(ckpt / "networks.npz")
+    capsys.readouterr()
+    assert main(["eval", "--scenario", str(scenario), "--checkpoint-dir", str(ckpt),
+                 "--out-dir", str(tmp_path / "run"), "--seed", "5", "--fleet", "1",
+                 "--eval-seeds", "50:51", "--horizon-days", "0.1"]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_learning_curves_leave_training_unchanged(tmp_path, monkeypatch):

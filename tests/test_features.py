@@ -281,7 +281,8 @@ class TestObservationAssembly:
         world = make_world(uniform_table(5, 150.0), [0, 2, 4], [1],
                            rates_vec=[rng.uniform(0, 2, 5)])
         chain = sim.sample_chain(world.rates, 12 * 3600, seed=8)
-        s = sim.Simulator(world, chain, sim.SimConfig())
+        s = sim.Simulator(world, chain, sim.SimConfig(),
+                          n_responders=len(world.depots))
         checked = []
 
         class Probe:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import two_region_world
 
-from ermrl import harness, sim
+from ermrl import harness, nn, sim
 from ermrl.agents import DdpgConfig, HlpAgent, LlpAgent
 from ermrl.baselines import MctsConfig
 
@@ -240,6 +240,16 @@ class TestCheckpointFitsWorld:
         world = two_region_world()
         save_untrained(tmp_path, world, **shapes)
         with pytest.raises(ValueError, match=message):
+            harness.load_agents(tmp_path, world)
+
+    @pytest.mark.parametrize("name", ["llp0_critic_target", "llp1_actor", "hlp_critic"])
+    def test_missing_network_rejected(self, tmp_path, name):
+        world = two_region_world()
+        save_untrained(tmp_path, world)
+        nets = nn.load_checkpoint(tmp_path / "networks.npz")
+        del nets[name]
+        nn.save_checkpoint(tmp_path / "networks.npz", nets)
+        with pytest.raises(ValueError, match=f"lacks the networks \\['{name}'\\]"):
             harness.load_agents(tmp_path, world)
 
 

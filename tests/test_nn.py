@@ -10,8 +10,9 @@ from ermrl import nn
 
 
 def gradcheck_params(params, loss_fn, analytic, eps=1e-4, rtol=1e-4):
-    """Central finite differences over every parameter entry."""
-    for a, g in zip(params.arrays(), analytic.arrays()):
+    """Central finite differences over every parameter entry; analytic is the
+    gradient list aligned with params.arrays()."""
+    for a, g in zip(params.arrays(), analytic, strict=True):
         flat, gflat = a.ravel(), g.ravel()
         for idx in range(flat.size):
             old = flat[idx]
@@ -107,8 +108,8 @@ class TestMlpBackward:
         x = np.array([[2.0]])
         _, cache = nn.mlp_forward(p, x)
         dx, grads = nn.mlp_backward(p, cache, np.array([[3.0]]))
-        assert grads.layers[0].w[0, 0] == pytest.approx(6.0)  # x * dy
-        assert grads.layers[0].b[0] == pytest.approx(3.0)
+        assert grads[0][0, 0] == pytest.approx(6.0)  # x * dy
+        assert grads[1][0] == pytest.approx(3.0)
         assert dx[0, 0] == pytest.approx(4.5)  # dy * w
 
     def test_zero_dy_zero_grads(self):
@@ -117,7 +118,7 @@ class TestMlpBackward:
         _, cache = nn.mlp_forward(p, rng.normal(size=(2, 3)))
         dx, grads = nn.mlp_backward(p, cache, np.zeros((2, 2)))
         assert np.all(dx == 0)
-        assert all(np.all(a == 0) for a in grads.arrays())
+        assert all(np.all(a == 0) for a in grads)
 
     def test_finite_differences_random_nets(self):
         rng = np.random.default_rng(5)
@@ -159,6 +160,40 @@ class TestMlpBackward:
         gradcheck_params(p, loss, grads)
 
 
+class TestGradientLists:
+    """Every backward pass returns its parameter gradients as a list aligned
+    with the container's arrays(): same length, same shape at each position."""
+
+    @staticmethod
+    def assert_aligned(p, grads):
+        assert isinstance(grads, list)
+        assert [g.shape for g in grads] == [a.shape for a in p.arrays()]
+
+    def test_mlp_with_dropout(self):
+        rng = np.random.default_rng(21)
+        p = nn.mlp_init([4, 6, 5, 2], rng, dropouts=[0.3, 0.2, 0.0])
+        _, cache = nn.mlp_forward(p, rng.normal(size=(3, 4)), train=True, rng=rng)
+        self.assert_aligned(p, nn.mlp_backward(p, cache, rng.normal(size=(3, 2)))[1])
+
+    def test_norm(self):
+        rng = np.random.default_rng(22)
+        p = nn.norm_init(5)
+        _, cache = nn.norm_forward(p, rng.normal(size=(3, 5)))
+        self.assert_aligned(p, nn.norm_backward(p, cache, rng.normal(size=(3, 5)))[1])
+
+    def test_mha(self):
+        rng = np.random.default_rng(23)
+        p = nn.mha_init(6, 2, rng)
+        _, cache = nn.mha_forward(p, rng.normal(size=(4, 6)))
+        self.assert_aligned(p, nn.mha_backward(p, cache, rng.normal(size=(4, 6)))[1])
+
+    def test_two_layer_trxl(self):
+        rng = np.random.default_rng(24)
+        p = nn.trxl_init(6, 3, rng, width=8, n_heads=2, n_layers=2, inner_sizes=(5,))
+        _, cache = nn.trxl_forward(p, rng.normal(size=(4, 6)))
+        self.assert_aligned(p, nn.trxl_backward(p, cache, rng.normal(size=(4, 3)))[1])
+
+
 class TestTrxl:
     def test_single_responder_distribution(self):
         rng = np.random.default_rng(7)
@@ -197,7 +232,8 @@ class TestTrxl:
         x = rng.normal(size=(4, 6))
         probs, cache = nn.trxl_forward(p, x)
         _, grads = nn.trxl_backward(p, cache, rng.normal(size=(4, 3)))
-        assert np.all(grads.layers[0].mha.bk == 0.0)
+        bk = next(k for k, a in enumerate(p.arrays()) if a is p.layers[0].mha.bk)
+        assert np.all(grads[bk] == 0.0)
         p.layers[0].mha.bk += rng.normal(size=6)
         assert np.allclose(nn.trxl_forward(p, x)[0], probs, rtol=0.0, atol=1e-12)
 
@@ -232,9 +268,7 @@ class TestAdam:
         p = nn.mlp_init([2, 3, 1], rng)
         before = [a.copy() for a in p.arrays()]
         state = nn.adam_init(p)
-        zeros = nn.clone(p)
-        for a in zeros.arrays():
-            a[...] = 0.0
+        zeros = [np.zeros_like(a) for a in p.arrays()]
         nn.adam_step(state, p, zeros, lr=1e-3)
         assert state.t == 1
         for a, b in zip(p.arrays(), before):
@@ -244,12 +278,10 @@ class TestAdam:
         rng = np.random.default_rng(13)
         p = nn.mlp_init([2, 2], rng)
         before = [a.copy() for a in p.arrays()]
-        grads = nn.clone(p)
-        grads.layers[0].w[...] = np.array([[0.5, -2.0], [3.0, -0.1]])
-        grads.layers[0].b[...] = np.array([1.0, -1.0])
+        grads = [np.array([[0.5, -2.0], [3.0, -0.1]]), np.array([1.0, -1.0])]
         state = nn.adam_init(p)
         nn.adam_step(state, p, grads, lr=1e-3)
-        for a, b, g in zip(p.arrays(), before, grads.arrays()):
+        for a, b, g in zip(p.arrays(), before, grads, strict=True):
             assert np.allclose(a - b, -1e-3 * np.sign(g), atol=1e-9)
 
     def test_two_runs_identical(self):
@@ -260,13 +292,33 @@ class TestAdam:
             p = nn.mlp_init([3, 4, 1], r)
             state = nn.adam_init(p)
             for step in range(5):
-                g = nn.clone(p)
-                for i, a in enumerate(g.arrays()):
-                    a[...] = np.sin(step + i + np.arange(a.size).reshape(a.shape))
+                g = [np.sin(step + i + np.arange(a.size).reshape(a.shape))
+                     for i, a in enumerate(p.arrays())]
                 nn.adam_step(state, p, g, lr=1e-3)
             results.append([a.copy() for a in p.arrays()])
         for a, b in zip(*results):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("mismatch", ["short", "long", "shape"])
+    def test_mismatched_gradients_change_nothing(self, mismatch):
+        rng = np.random.default_rng(20)
+        p = nn.mlp_init([3, 4, 1], rng)
+        state = nn.adam_init(p)
+        nn.adam_step(state, p, [np.ones_like(a) for a in p.arrays()], lr=1e-3)
+        grads = [np.ones_like(a) for a in p.arrays()]
+        if mismatch == "short":
+            grads.pop()
+        elif mismatch == "long":
+            grads.append(np.ones(1))
+        else:
+            grads[0] = np.ones(grads[0].shape[::-1])
+        before = [a.copy() for a in p.arrays()]
+        m, v = [a.copy() for a in state.m], [a.copy() for a in state.v]
+        with pytest.raises(ValueError, match="do not match"):
+            nn.adam_step(state, p, grads, lr=1e-3)
+        assert state.t == 1
+        for now, then in zip(p.arrays() + state.m + state.v, before + m + v, strict=True):
+            assert np.array_equal(now, then)
 
 
 class TestTargets:
@@ -326,6 +378,28 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="unsupported checkpoint version"):
             nn.load_checkpoint(path)
 
+    @pytest.mark.parametrize("member", ["__meta__", "params"])
+    def test_missing_member_rejected(self, tmp_path, member):
+        path = tmp_path / "ckpt.npz"
+        nn.save_checkpoint(path, self.nets())
+        with np.load(path) as data:
+            kept = {name: data[name] for name in data.files if name != member}
+        np.savez(path, **kept)
+        with pytest.raises(ValueError, match=f"no {member} member"):
+            nn.load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["version", "entries"])
+    def test_meta_without_key_rejected(self, tmp_path, key):
+        path = tmp_path / "ckpt.npz"
+        nn.save_checkpoint(path, self.nets())
+        with np.load(path) as data:
+            meta, flat = json.loads(bytes(data["__meta__"]).decode()), data["params"]
+        del meta[key]
+        np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+                 params=flat)
+        with pytest.raises(ValueError, match=f"no {key} in its __meta__"):
+            nn.load_checkpoint(path)
+
     def test_short_vector_rejected(self, tmp_path):
         path = tmp_path / "ckpt.npz"
         nn.save_checkpoint(path, self.nets())
@@ -343,7 +417,7 @@ class TestBatchAxis:
 
     @staticmethod
     def assert_sum_of(batched, singles):
-        for s, *parts in zip(batched.arrays(), *(g.arrays() for g in singles)):
+        for s, *parts in zip(batched, *singles, strict=True):
             total = sum(parts)
             assert s.shape == total.shape
             assert np.allclose(s, total, rtol=1e-12, atol=0.0)
@@ -437,5 +511,5 @@ class TestForwardOracle:
         dx, grads = nn.trxl_backward(p, cache, dprobs)
         ref_dx, ref_grads = nn.trxl_backward(p, ref_cache, dprobs)
         assert np.array_equal(dx, ref_dx)
-        for a, b in zip(grads.arrays(), ref_grads.arrays()):
+        for a, b in zip(grads, ref_grads, strict=True):
             assert np.array_equal(a, b)

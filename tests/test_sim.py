@@ -36,7 +36,8 @@ class TestDispatch:
     def test_responder_at_scene(self):
         # responder idles at the incident cell; hospital one hop away
         world = make_world(uniform_table(3, 100.0), depot_cells=[0], hospital_cells=[1])
-        s = sim.Simulator(world, chain_of([(50.0, 0)], 3600), sim.SimConfig())
+        s = sim.Simulator(world, chain_of([(50.0, 0)], 3600), sim.SimConfig(),
+                          n_responders=len(world.depots))
         res = s.run()
         assert res.response_log == [(0, 50.0, 0.0)]
         # t_avail = report + t_serve + travel(scene -> hospital)
@@ -72,7 +73,8 @@ class TestDispatch:
     def test_all_busy_queues(self):
         world = make_world(uniform_table(2, 60.0), depot_cells=[0], hospital_cells=[1])
         chain = chain_of([(0.0, 1), (1.0, 1)], 7200)
-        s = sim.Simulator(world, chain, sim.SimConfig())
+        s = sim.Simulator(world, chain, sim.SimConfig(),
+                          n_responders=len(world.depots))
         qlen = []
 
         class Probe:
@@ -88,7 +90,8 @@ class TestDispatch:
 class TestRelease:
     def test_returns_to_depot_when_queue_empty(self):
         world = make_world(uniform_table(3, 100.0), depot_cells=[0], hospital_cells=[2])
-        s = sim.Simulator(world, chain_of([(0.0, 1)], 3600), sim.SimConfig())
+        s = sim.Simulator(world, chain_of([(0.0, 1)], 3600), sim.SimConfig(),
+                          n_responders=len(world.depots))
         tracks = []
 
         class Probe:
@@ -106,7 +109,8 @@ class TestRelease:
     def test_queue_head_counts_from_report(self):
         world = make_world(uniform_table(3, 100.0), depot_cells=[0], hospital_cells=[2])
         chain = chain_of([(0.0, 1), (10.0, 1)], 7200)
-        res = sim.Simulator(world, chain, sim.SimConfig()).run()
+        res = sim.Simulator(world, chain, sim.SimConfig(),
+                            n_responders=len(world.depots)).run()
         # first: response 100, release at 1400; second dispatched from hospital
         # cell 2 at 1400, scene arrival 1500, response 1500-10
         assert res.response_log[0] == (0, 0.0, 100.0)
@@ -115,21 +119,24 @@ class TestRelease:
     def test_fifo_order(self):
         world = make_world(uniform_table(3, 100.0), depot_cells=[0], hospital_cells=[2])
         chain = chain_of([(0.0, 1), (5.0, 2), (6.0, 1)], 7200)
-        res = sim.Simulator(world, chain, sim.SimConfig()).run()
+        res = sim.Simulator(world, chain, sim.SimConfig(),
+                            n_responders=len(world.depots)).run()
         assert [iid for iid, _, _ in res.response_log] == [0, 1, 2]
 
 
 class TestRunEpisode:
     def test_empty_chain(self):
         world = make_world(uniform_table(2, 100.0), depot_cells=[0], hospital_cells=[1])
-        res = sim.Simulator(world, chain_of([], 3600), sim.SimConfig()).run()
+        res = sim.Simulator(world, chain_of([], 3600), sim.SimConfig(),
+                            n_responders=len(world.depots)).run()
         assert res.response_log == []
         assert res.mean_response_s is None
 
     def test_two_separated_incidents(self):
         world = make_world(uniform_table(3, 100.0), depot_cells=[0], hospital_cells=[2])
         chain = chain_of([(100.0, 1), (50_000.0, 1)], 100_000)
-        res = sim.Simulator(world, chain, sim.SimConfig()).run()
+        res = sim.Simulator(world, chain, sim.SimConfig(),
+                            n_responders=len(world.depots)).run()
         assert [resp for _, _, resp in res.response_log] == [100.0, 100.0]
 
     def test_bit_identical_determinism(self):
@@ -139,8 +146,10 @@ class TestRunEpisode:
         world = make_world(table, depot_cells=[0, 3], hospital_cells=[4],
                            rates_vec=[rng.uniform(0, 1, 5)])
         chain = sim.sample_chain(world.rates, 2 * 24 * 3600, seed=21)
-        a = sim.Simulator(world, chain, sim.SimConfig()).run()
-        b = sim.Simulator(world, chain, sim.SimConfig()).run()
+        a = sim.Simulator(world, chain, sim.SimConfig(),
+                          n_responders=len(world.depots)).run()
+        b = sim.Simulator(world, chain, sim.SimConfig(),
+                          n_responders=len(world.depots)).run()
         assert a.response_log == b.response_log
 
     def test_conservation_and_invariants(self):
@@ -154,7 +163,8 @@ class TestRunEpisode:
                                hospital_cells=[int(rng.integers(0, n))],
                                rates_vec=[rng.uniform(0.2, 2.0, n)])
             chain = sim.sample_chain(world.rates, 24 * 3600, seed=trial)
-            res = sim.Simulator(world, chain, sim.SimConfig()).run()
+            res = sim.Simulator(world, chain, sim.SimConfig(),
+                                n_responders=len(world.depots)).run()
             assert len(res.response_log) == len(chain.incidents)
             assert all(resp >= 0 for _, _, resp in res.response_log)
             logged = sorted(iid for iid, _, _ in res.response_log)
@@ -250,3 +260,11 @@ class TestReallocation:
                           initial_assignment={0: 0, 1: 2})
         with pytest.raises(sim.SimLogicError):
             s.apply_region_moves({0: 2})
+
+
+def test_fleet_must_be_explicit():
+    world = make_world(uniform_table(3, 100.0), depot_cells=[0, 2], hospital_cells=[1])
+    with pytest.raises(ValueError, match="initial_assignment or n_responders"):
+        sim.Simulator(world, chain_of([], 3600), sim.SimConfig())
+    s = sim.Simulator(world, chain_of([], 3600), sim.SimConfig(), n_responders=1)
+    assert len(s.responders) == 1
