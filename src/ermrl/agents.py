@@ -293,14 +293,8 @@ def hlp_reward(llp_agents: dict[int, LlpAgent],
     return acc / total_rate
 
 
-def sample_llp_fleet(n_region_depots: int, fleet_ratio: float,
-                     rng: np.random.Generator) -> int:
-    """Binomial draw of the region's training fleet, clamped to [1, depots]."""
-    n = int(rng.binomial(n_region_depots, min(max(fleet_ratio, 0.0), 1.0)))
-    return max(1, min(n, n_region_depots))
-
-
-def sample_hlp_fleet(center: int, total_capacity: int, rng: np.random.Generator) -> int:
+def sample_fleet(center: int, total_capacity: int, rng: np.random.Generator) -> int:
+    """A training episode's city fleet: center - 3 to center + 3, within [1, capacity]."""
     n = int(center + rng.integers(-3, 4))
     return max(1, min(n, total_capacity))
 

@@ -1,10 +1,10 @@
 """Experiment orchestration: training loops, evaluation, statistics, sweeps.
 
 Training follows the published recipe: each region agent trains alone on its
-own incidents with a binomially resampled fleet, acting at every incident or
-hourly lull and learning from the negated response time of the next incident;
-the city agent trains afterwards against the frozen region critics, acting at
-region-level rate changes. Evaluation replays held-out chains and records
+own incidents with its rate-proportional share of a resampled city fleet,
+acting at every incident or hourly lull and learning from the negated response
+time of the next incident; the city agent trains afterwards against the frozen
+region critics, acting at region-level rate changes. Evaluation replays held-out chains and records
 wall-clock latency per planner call.
 """
 
@@ -20,14 +20,14 @@ import numpy as np
 
 from . import nn
 from .agents import (DdpgConfig, HlpAgent, LlpAgent, Transition, hlp_reward,
-                     reward_from_response, sample_hlp_fleet, sample_llp_fleet)
+                     reward_from_response, sample_fleet)
 from .baselines import BaselineRegionPlanner, MctsConfig
 from .features import NoiseModel, region_observation
 from .geo import ScenarioWorld
 from .hierarchy import (DdpgPlanner, HierarchyController, TriggerPolicy,
                         city_decision, city_observation)
-from .sim import (EpisodeResult, IncidentChain, SimConfig, Simulator, run_episode,
-                  sample_chain)
+from .sim import (EpisodeResult, IncidentChain, SimConfig, Simulator, region_shares,
+                  run_episode, sample_chain)
 
 
 # --- statistics ---------------------------------------------------------------
@@ -200,14 +200,15 @@ class LlpTrainingController(HierarchyController):
 
 def run_region_episode(world: ScenarioWorld, region: int, controller, chain_seed: int,
                        horizon_s: float, fleet: int) -> EpisodeResult:
-    """One episode on the region's own incidents, its fleet of `fleet` on the
-    region's lowest-id depots, idle ticks as the controller's triggers set."""
+    """One episode on the region's own incidents, its share of a city fleet
+    of `fleet` (at least one) on its lowest-id depots; idle ticks as the
+    controller's triggers set, none without a controller."""
     cells = set(world.seg.region_cells[region])
     chain = filter_chain(sample_chain(world.rates, horizon_s, chain_seed), cells)
-    depots = world.region_depots(region)
-    return run_episode(world, chain, controller,
-                       SimConfig(idle_timeout_s=controller.trigger.idle_timeout_s),
-                       initial_assignment={i: depots[i] for i in range(fleet)})
+    depots = world.region_depots(region)[:max(1, region_shares(world, fleet)[region])]
+    idle = controller.trigger.idle_timeout_s if controller is not None else None
+    return run_episode(world, chain, controller, SimConfig(idle_timeout_s=idle),
+                       initial_assignment=dict(enumerate(depots)))
 
 
 def train_llp_agent(world: ScenarioWorld, region: int, cfg: TrainConfig,
@@ -218,17 +219,16 @@ def train_llp_agent(world: ScenarioWorld, region: int, cfg: TrainConfig,
     episode_hook(episode, agent) follows each episode."""
     ss = np.random.SeedSequence((seed, region))
     init_rng, run_rng = (np.random.default_rng(s) for s in ss.spawn(2))
-    n_depots = len(world.region_depots(region))
     if agent is None:
-        agent = LlpAgent(region, n_depots, cfg.ddpg, init_rng,
+        agent = LlpAgent(region, len(world.region_depots(region)), cfg.ddpg, init_rng,
                          n_layers=cfg.llp_layers, n_heads=cfg.llp_heads,
                          inner_sizes=cfg.llp_inner, actor_dropout=cfg.llp_dropout,
                          critic_hidden=cfg.critic_hidden,
                          critic_dropout=cfg.critic_dropout)
-    fleet_ratio = cfg.default_fleet(world) / len(world.depots)
+    center = cfg.default_fleet(world)
     for episode in range(cfg.episodes_llp):
         chain_seed = train_seeds[episode % len(train_seeds)]
-        fleet = sample_llp_fleet(n_depots, fleet_ratio, run_rng)
+        fleet = sample_fleet(center, len(world.depots), run_rng)
         agent.explore_eps = cfg.ddpg.explore_eps(episode)
         controller = LlpTrainingController(agent, world, run_rng)
         run_region_episode(world, region, controller, chain_seed, cfg.horizon_s, fleet)
@@ -307,11 +307,10 @@ def train_hlp_agent(world: ScenarioWorld, llp_agents: dict[int, LlpAgent],
                          critic_hidden=cfg.critic_hidden,
                          critic_dropout=cfg.critic_dropout)
     center = cfg.default_fleet(world)
-    caps_total = sum(world.region_caps().values())
     for episode in range(cfg.episodes_hlp):
         chain_seed = train_seeds[episode % len(train_seeds)]
         chain = sample_chain(world.rates, cfg.horizon_s, chain_seed)
-        fleet = sample_hlp_fleet(center, caps_total, run_rng)
+        fleet = sample_fleet(center, len(world.depots), run_rng)
         agent.explore_eps = cfg.ddpg.explore_eps(episode)
         trainer = HlpTrainer(agent, llp_agents, world, run_rng)
         run_episode(world, chain, trainer, SimConfig(), n_responders=fleet)
@@ -461,7 +460,7 @@ def eval_chain(spec: ExperimentSpec, world: ScenarioWorld, agents, chain_seed: i
     """One held-out chain under spec's planner, its record with the chain's
     responses and planner calls; agents as load_agents returns them for drl,
     else None. A region restricts the chain to the region's incidents and its
-    share of the fleet, as run_region_episode runs them."""
+    rate-proportional share of the fleet, as run_region_episode runs them."""
     controller = _controller(spec, world, agents, chain_seed)
     fleet = resolve_fleet(world, spec.fleet_size)
     if region is None:
@@ -470,9 +469,7 @@ def eval_chain(spec: ExperimentSpec, world: ScenarioWorld, agents, chain_seed: i
         chain = sample_chain(world.rates, spec.horizon_s, chain_seed)
         return run_episode(world, chain, controller, SimConfig(idle_timeout_s=idle),
                            n_responders=fleet)
-    n = len(world.region_depots(region))
-    return run_region_episode(world, region, controller, chain_seed, spec.horizon_s,
-                              max(1, min(n, round(fleet * n / len(world.depots)))))
+    return run_region_episode(world, region, controller, chain_seed, spec.horizon_s, fleet)
 
 
 def evaluate_spec(spec: ExperimentSpec, world: ScenarioWorld,

@@ -414,7 +414,15 @@ def _describe(params) -> dict:
     raise TypeError(f"cannot checkpoint {type(params)}")
 
 
-def _build(spec: dict):
+_ENTRY_KEYS = {"mlp": ("sizes", "activations", "dropouts"),
+               "trxl": ("feat_dim", "n_outputs", "width", "n_heads", "n_layers",
+                        "inner_sizes", "inner_dropout")}
+
+
+def _build(name: str, spec: dict):
+    missing = [k for k in ("kind", *_ENTRY_KEYS.get(spec.get("kind"), ())) if k not in spec]
+    if missing:
+        raise ValueError(f"checkpoint entry {name} has no {missing[0]}")
     rng = np.random.default_rng(0)
     if spec["kind"] == "mlp":
         return mlp_init(spec["sizes"], rng, spec["activations"], spec["dropouts"])
@@ -449,7 +457,7 @@ def load_checkpoint(path) -> dict:
         if "params" not in data.files:
             raise ValueError(f"checkpoint {path} has no params member")
         flat = data["params"]
-    out = {name: _build(spec) for name, spec in meta["entries"].items()}
+    out = {name: _build(name, spec) for name, spec in meta["entries"].items()}
     arrays = [a for p in out.values() for a in p.arrays()]
     sizes = [a.size for a in arrays]
     if flat.shape != (sum(sizes),):

@@ -409,24 +409,25 @@ class Simulator:
         return sorted(rid for rid, r in self.responders.items() if r.region == region)
 
 
-def default_initial_assignment(world: ScenarioWorld, n_responders: int) -> dict[int, int]:
-    """Spread responders over regions proportionally to initial region rates,
-    then fill each region's lowest-id depots."""
+def region_shares(world: ScenarioWorld, n_responders: int, t: float = 0.0) -> dict[int, int]:
+    """{region: responders}: a fleet of n_responders split over the regions in
+    proportion to their rates at t, capped by their depots."""
     from .optim import greedy_redistribute
 
     caps = world.region_caps()
     region_ids = sorted(caps)
-    rates = world.region_rates(0.0)
+    rates = world.region_rates(t)
     rates0 = np.array([rates[g] for g in region_ids])
     p = rates0 / rates0.sum() if rates0.sum() > 0 else np.ones(len(region_ids)) / len(region_ids)
     counts = greedy_redistribute(p, n_responders, [caps[g] for g in region_ids])
-    assignment: dict[int, int] = {}
-    rid = 0
-    for g, count in zip(region_ids, counts):
-        for depot in world.seg.region_depots(g)[: int(count)]:
-            assignment[rid] = depot
-            rid += 1
-    return assignment
+    return {g: int(c) for g, c in zip(region_ids, counts)}
+
+
+def default_initial_assignment(world: ScenarioWorld, n_responders: int) -> dict[int, int]:
+    """Each region's share of the fleet at t=0 on its lowest-id depots."""
+    depots = [d for g, count in region_shares(world, n_responders).items()
+              for d in world.region_depots(g)[:count]]
+    return dict(enumerate(depots))
 
 
 def run_episode(world: ScenarioWorld, chain: IncidentChain, controller,

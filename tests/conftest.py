@@ -1,8 +1,22 @@
 """Shared scenario builders for the test suite."""
 
+import functools
+
 import numpy as np
 
-from ermrl import geo, sim
+from ermrl import geo, harness, sim
+
+# the benchmark's two cities, both generated from seed 7
+BENCH_CITIES = {
+    "default": harness.ScenarioParams(),
+    "metro": harness.ScenarioParams(nx=25, ny=25, n_depots=36, n_hospitals=6,
+                                    n_regions=5, citywide_rate_per_hour=6.0),
+}
+
+
+@functools.cache
+def bench_city(name):
+    return harness.generate_scenario(BENCH_CITIES[name], 7)
 
 
 def make_world(travel_table, depot_cells, hospital_cells, rates_vec=None,

@@ -287,25 +287,10 @@ class TestHlpReward:
 
 
 class TestFleetSampling:
-    def test_single_depot_region_always_one(self):
-        rng = np.random.default_rng(18)
-        assert all(agents.sample_llp_fleet(1, 0.7, rng) == 1 for _ in range(100))
-
-    def test_probability_one_fills_region(self):
-        rng = np.random.default_rng(19)
-        assert all(agents.sample_llp_fleet(5, 1.0, rng) == 5 for _ in range(100))
-
-    def test_binomial_concentration(self):
-        rng = np.random.default_rng(20)
-        n, p, draws = 20, 0.6, 100_000
-        vals = np.array([rng.binomial(n, p) for _ in range(draws)])
-        sigma = np.sqrt(n * p * (1 - p) / draws)
-        assert abs(vals.mean() - n * p) <= 3 * sigma
-
     def test_hlp_fleet_bounds(self):
         rng = np.random.default_rng(21)
         for _ in range(200):
-            v = agents.sample_hlp_fleet(26, 36, rng)
+            v = agents.sample_fleet(26, 36, rng)
             assert 23 <= v <= 29
 
 

@@ -201,19 +201,28 @@ def _drop_meta_key(path, key):
              params=flat)
 
 
+def _drop_entry_key(path, key):
+    with np.load(path) as data:
+        meta, flat = json.loads(bytes(data["__meta__"]).decode()), data["params"]
+    del next(iter(meta["entries"].values()))[key]
+    np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+             params=flat)
+
+
 def _drop_network(path, name):
     nets = nn.load_checkpoint(path)
     del nets[name]
     nn.save_checkpoint(path, nets)
 
 
-# one case per kind: an npz member, a meta key, one of an agent's networks;
-# test_nn and test_harness cover the others
+# one case per kind: an npz member, a meta key, an entry key, one of an
+# agent's networks; test_nn and test_harness cover the others
 @pytest.mark.parametrize("corrupt, message", [
     (functools.partial(_drop_member, member="params"), "no params member"),
     (functools.partial(_drop_meta_key, key="version"), "no version in its __meta__"),
+    (functools.partial(_drop_entry_key, key="kind"), "llp0_actor has no kind"),
     (functools.partial(_drop_network, name="llp0_critic_target"), "llp0_critic_target"),
-], ids=["no_params", "no_version", "no_critic_target"])
+], ids=["no_params", "no_version", "no_kind", "no_critic_target"])
 def test_malformed_checkpoint_is_a_config_error(tmp_path, capsys, corrupt, message):
     scenario = tiny_scenario(tmp_path)
     ckpt = tmp_path / "ckpt"

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import two_region_world
+from conftest import bench_city, two_region_world
 
 from ermrl import harness, nn, sim
 from ermrl.agents import DdpgConfig, HlpAgent, LlpAgent
@@ -158,7 +158,7 @@ class TestTrainingPipeline:
         monkeypatch.setattr(agent, "train_step", training)
         trainer = harness.LlpTrainingController(agent, world, np.random.default_rng(9))
         result = harness.run_region_episode(world, 0, trainer, chain_seed=0,
-                                            horizon_s=86400.0, fleet=2)
+                                            horizon_s=86400.0, fleet=4)
         n_plans = sum(level == "region" for level, _ in result.decisions)
         assert n_plans > 1
         assert [tr.terminal for tr in stored] == [False] * (n_plans - 1) + [True]
@@ -201,6 +201,68 @@ class TestTrainingPipeline:
         assert agent.updates
 
 
+def record_fleets(monkeypatch, run=True):
+    """The fleet size of each harness.run_episode from now on; each episode
+    still runs unless run is False."""
+    fleets = []
+    run_episode = harness.run_episode
+
+    def recording(world, chain, controller, config, initial_assignment=None,
+                  n_responders=None):
+        fleets.append(len(initial_assignment) if initial_assignment else n_responders)
+        if run:
+            return run_episode(world, chain, controller, config, initial_assignment,
+                               n_responders)
+
+    monkeypatch.setattr(harness, "run_episode", recording)
+    return fleets
+
+
+class TestRegionFleet:
+    """A region-only run, in training or evaluation, takes the region's
+    rate-proportional share of the city fleet (sim.region_shares), at least
+    one responder."""
+
+    def test_eval_runs_the_busiest_regions_city_share(self, monkeypatch, tmp_path):
+        # region 1 has 81% of the demand on 3 of the 8 depots
+        world = bench_city("default")
+        spec = harness.ExperimentSpec("", "static", str(tmp_path), horizon_s=86400.0)
+        assert harness.resolve_fleet(world, None) == 6
+        fleets = record_fleets(monkeypatch)
+        harness.eval_chain(spec, world, None, 50, region=1)
+        harness.eval_chain(spec, world, None, 50)
+        assert fleets == [3, 6]
+
+    def test_zero_rate_region_runs_one_responder(self, monkeypatch, tmp_path):
+        world = two_region_world(rates_by_bucket=[[1.0, 0.5, 0.2, 0.0, 0.0, 0.0]])
+        assert sim.region_shares(world, 2) == {0: 2, 1: 0}
+        spec = harness.ExperimentSpec("", "static", str(tmp_path), fleet_size=2,
+                                      horizon_s=3600.0)
+        fleets = record_fleets(monkeypatch)
+        harness.eval_chain(spec, world, None, 50, region=1)
+        assert fleets == [1]
+
+    @staticmethod
+    def training_fleets(monkeypatch, world, region, seed):
+        fleets = record_fleets(monkeypatch, run=False)
+        harness.train_llp_agent(world, region, harness.TrainConfig(
+            episodes_llp=301, horizon_s=3600.0), [0], seed)
+        return fleets
+
+    # The capped largest-remainder split is not monotone in the fleet: metro
+    # region 4 gets 3, 2, 3, 2, 3 responders of a city fleet of 22 to 26, so
+    # its median draw is 3 where its share of the default 25 is 2.
+    @pytest.mark.parametrize("city, median_off_by", [("default", 0), ("metro", 1)])
+    def test_training_draws(self, monkeypatch, city, median_off_by):
+        world = bench_city(city)
+        shares = sim.region_shares(world, harness.resolve_fleet(world, None))
+        for g in world.seg.region_ids:
+            fleets = self.training_fleets(monkeypatch, world, g, seed=3)
+            assert 1 <= min(fleets) and max(fleets) <= len(world.region_depots(g))
+            assert abs(np.median(fleets) - max(1, shares[g])) <= median_off_by
+            assert self.training_fleets(monkeypatch, world, g, seed=3) == fleets
+
+
 def save_untrained(path, world, llp_depots=None, hlp_regions=None):
     """Untrained agents shaped for world, with optional wrong shapes:
     {region: depot count} overrides and a city agent for hlp_regions regions."""
@@ -214,23 +276,15 @@ def save_untrained(path, world, llp_depots=None, hlp_regions=None):
 
 class TestCheckpointFitsWorld:
     # the benchmark's metro city: 5 regions of 9/10/6/3/8 depots, against 5/3
-    METRO = harness.ScenarioParams(nx=25, ny=25, n_depots=36, n_hospitals=6,
-                                   n_regions=5, citywide_rate_per_hour=6.0)
-
-    @pytest.fixture(scope="class")
-    def cities(self):
-        return {"metro": harness.generate_scenario(self.METRO, 7),
-                "default": harness.generate_scenario(harness.ScenarioParams(), 7)}
-
     @pytest.mark.parametrize("saved, loaded, message", [
         ("metro", "default", "region 2 is in the checkpoint only"),
         ("default", "metro", "region 2 is in the world only"),
     ], ids=["metro_on_default", "default_on_metro"])
-    def test_other_city_rejected(self, cities, tmp_path, saved, loaded, message):
-        save_untrained(tmp_path, cities[saved])
-        harness.load_agents(tmp_path, cities[saved])
+    def test_other_city_rejected(self, tmp_path, saved, loaded, message):
+        save_untrained(tmp_path, bench_city(saved))
+        harness.load_agents(tmp_path, bench_city(saved))
         with pytest.raises(ValueError, match=message):
-            harness.load_agents(tmp_path, cities[loaded])
+            harness.load_agents(tmp_path, bench_city(loaded))
 
     @pytest.mark.parametrize("shapes, message", [
         ({"llp_depots": {1: 3}}, "region 1: the checkpoint's actor has 3 outputs"),

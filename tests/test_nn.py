@@ -400,6 +400,19 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"no {key} in its __meta__"):
             nn.load_checkpoint(path)
 
+    @pytest.mark.parametrize("entry, key", [("actor", "kind"), ("critic", "kind"),
+                                            ("critic", "sizes"), ("actor", "feat_dim")])
+    def test_entry_without_key_rejected(self, tmp_path, entry, key):
+        path = tmp_path / "ckpt.npz"
+        nn.save_checkpoint(path, self.nets())
+        with np.load(path) as data:
+            meta, flat = json.loads(bytes(data["__meta__"]).decode()), data["params"]
+        del meta["entries"][entry][key]
+        np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+                 params=flat)
+        with pytest.raises(ValueError, match=f"entry {entry} has no {key}"):
+            nn.load_checkpoint(path)
+
     def test_short_vector_rejected(self, tmp_path):
         path = tmp_path / "ckpt.npz"
         nn.save_checkpoint(path, self.nets())

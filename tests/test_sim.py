@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from conftest import chain_of, make_world, two_region_world, uniform_table
+from conftest import bench_city, chain_of, make_world, two_region_world, uniform_table
 
-from ermrl import geo, sim
+from ermrl import geo, harness, optim, sim
 
 
 class TestSampleChain:
@@ -268,3 +268,62 @@ def test_fleet_must_be_explicit():
         sim.Simulator(world, chain_of([], 3600), sim.SimConfig())
     s = sim.Simulator(world, chain_of([], 3600), sim.SimConfig(), n_responders=1)
     assert len(s.responders) == 1
+
+
+# --- the fleet split between regions ----------------------------------------------
+
+def frozen_default_initial_assignment(world, n_responders):
+    """default_initial_assignment as it was before region_shares owned the
+    split between regions."""
+    caps = world.region_caps()
+    region_ids = sorted(caps)
+    rates = world.region_rates(0.0)
+    rates0 = np.array([rates[g] for g in region_ids])
+    p = rates0 / rates0.sum() if rates0.sum() > 0 else np.ones(len(region_ids)) / len(region_ids)
+    counts = optim.greedy_redistribute(p, n_responders, [caps[g] for g in region_ids])
+    assignment = {}
+    rid = 0
+    for g, count in zip(region_ids, counts):
+        for depot in world.seg.region_depots(g)[: int(count)]:
+            assignment[rid] = depot
+            rid += 1
+    return assignment
+
+
+def fuzzed_worlds():
+    """Generated cities of 1-4 regions, a rate-free city, and two-region
+    worlds whose cells are often rate-free, so that a region may have no
+    demand."""
+    rng = np.random.default_rng(23)
+    for seed in range(30):
+        nx, ny = int(rng.integers(3, 7)), int(rng.integers(3, 7))
+        n_depots = int(rng.integers(1, min(nx * ny - 1, 12) + 1))
+        yield harness.generate_scenario(harness.ScenarioParams(
+            nx=nx, ny=ny, n_depots=n_depots, n_hospitals=1,
+            n_regions=int(rng.integers(1, min(n_depots, 4) + 1)),
+            n_hotspots=int(rng.integers(1, 4))), seed)
+    yield two_region_world(rates_by_bucket=[[0.0] * 6])
+    for _ in range(30):
+        rates = rng.uniform(0.0, 1.0, 6) * (rng.random(6) < 0.5)
+        yield two_region_world(rates_by_bucket=[rates])
+
+
+class TestRegionShares:
+    @pytest.mark.parametrize("worlds", [
+        pytest.param(fuzzed_worlds, id="fuzzed"),
+        pytest.param(lambda: [bench_city("default"), bench_city("metro")], id="bench"),
+    ])
+    def test_default_assignment_unchanged_at_every_fleet(self, worlds):
+        for world in worlds():
+            for n in range(1, len(world.depots) + 1):
+                want = frozen_default_initial_assignment(world, n)
+                assert sim.default_initial_assignment(world, n) == want
+                counts = {g: 0 for g in world.seg.region_ids}
+                for depot in want.values():
+                    counts[world.seg.depot_regions[depot]] += 1
+                assert sim.region_shares(world, n) == counts
+
+    def test_shares_follow_the_rate_bucket(self):
+        world = two_region_world(rates_by_bucket=[[1.0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1.0]])
+        assert sim.region_shares(world, 2) == {0: 2, 1: 0}
+        assert sim.region_shares(world, 2, t=3600.0) == {0: 0, 1: 2}
