@@ -1,7 +1,8 @@
 """Comparison planners for region-level repositioning.
 
 The search-based planner runs UCT over single-responder moves, scoring leaf
-allocations with greedy-dispatch rollouts against sampled incident futures.
+allocations with greedy-dispatch rollouts against incident futures that the
+simulator's sampler (sim.sample_incidents) draws on the region's cells.
 The published description leaves the action model and rollout policy open, so
 this module uses the simplest faithful reconstruction: one move per responder
 per plan, a stop action, and no reallocation inside rollouts.
@@ -18,7 +19,7 @@ import numpy as np
 from .features import arrival_times
 from .geo import ScenarioWorld
 from .optim import _hungarian_min
-from .sim import Simulator
+from .sim import Simulator, sample_incidents
 
 
 ROLLOUT_DISCOUNT = 0.99995  # per second of simulated time
@@ -34,27 +35,6 @@ class MctsConfig:
     def __post_init__(self):
         if min(self.iteration_limit, self.n_samples, self.rollout_horizon_s) <= 0:
             raise ValueError("all search parameters must be positive")
-
-
-def _sample_future(world: ScenarioWorld, cells: list[int], t0: float,
-                   horizon_s: float, rng: np.random.Generator) -> list[tuple[float, int]]:
-    events: list[tuple[float, int]] = []
-    dur = world.rates.bucket_duration_s
-    start = t0
-    end_t = t0 + horizon_s
-    while start < end_t:
-        end = min(math.floor(start / dur + 1) * dur, end_t)
-        lam = world.rates.rates_at(start)
-        for c in cells:
-            expected = lam[c] * (end - start) / 3600.0
-            if expected <= 0:
-                continue
-            n = int(rng.poisson(expected))
-            for t in rng.uniform(start, end, size=n):
-                events.append((float(t), c))
-        start = end
-    events.sort()
-    return events
 
 
 def _rollout_value(ready: dict[int, tuple[float, int]], future: list[tuple[float, int]],
@@ -109,11 +89,11 @@ def mcts_plan(sim: Simulator, region: int, cfg: MctsConfig,
     if not member_ids:
         raise ValueError("search requires at least one responder in the region")
     depot_ids = world.region_depots(region)
-    region_cells = sorted(world.seg.region_cells[region])
+    region_cells = np.array(sorted(world.seg.region_cells[region]))
     t0 = sim.now
     t_serve = sim.cfg.t_serve_s
 
-    futures = [_sample_future(world, region_cells, t0, cfg.rollout_horizon_s, rng)
+    futures = [sample_incidents(world.rates, region_cells, t0, t0 + cfg.rollout_horizon_s, rng)
                for _ in range(cfg.n_samples)]
 
     etas = arrival_times([sim.responders[rid] for rid in member_ids], depot_ids, t0, world)

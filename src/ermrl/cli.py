@@ -59,6 +59,7 @@ def cmd_train(args) -> int:
     eval_seeds = _parse_seed_range(args.eval_seeds)
     if set(train_seeds) & set(eval_seeds):
         raise ConfigError("train and eval chain seeds overlap")
+    cfg.default_fleet(world)  # a fleet that does not fit exits before any file is written
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     curve_file = open(out_dir / "curves.csv", "w", newline="")

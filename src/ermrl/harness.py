@@ -157,10 +157,19 @@ class TrainConfig:
 
 def resolve_fleet(world: ScenarioWorld, fleet_size: int | None) -> int:
     """fleet_size, or by default 0.7 responders per depot: a responder on
-    every depot would leave repositioning no legal move."""
-    if fleet_size is not None:
-        return fleet_size
-    return max(1, int(round(0.7 * len(world.depots))))
+    every depot would leave repositioning no legal move. A fleet that is
+    empty or outnumbers the depots is a ValueError."""
+    if fleet_size is None:
+        return max(1, int(round(0.7 * len(world.depots))))
+    if not 1 <= fleet_size <= len(world.depots):
+        raise ValueError(f"a fleet of {fleet_size} does not fit {len(world.depots)} depots")
+    return fleet_size
+
+
+def _sim_config(controller) -> SimConfig:
+    """Idle ticks only for "baseline" triggers, the one mode that plans on them."""
+    baseline = controller is not None and controller.trigger.mode == "baseline"
+    return SimConfig(idle_timeout_s=controller.trigger.idle_timeout_s if baseline else None)
 
 
 def _learn(agent, transition, rng: np.random.Generator) -> None:
@@ -201,13 +210,12 @@ class LlpTrainingController(HierarchyController):
 def run_region_episode(world: ScenarioWorld, region: int, controller, chain_seed: int,
                        horizon_s: float, fleet: int) -> EpisodeResult:
     """One episode on the region's own incidents, its share of a city fleet
-    of `fleet` (at least one) on its lowest-id depots; idle ticks as the
-    controller's triggers set, none without a controller."""
+    of `fleet` (at least one) on its lowest-id depots; idle ticks as
+    _sim_config gives them."""
     cells = set(world.seg.region_cells[region])
     chain = filter_chain(sample_chain(world.rates, horizon_s, chain_seed), cells)
     depots = world.region_depots(region)[:max(1, region_shares(world, fleet)[region])]
-    idle = controller.trigger.idle_timeout_s if controller is not None else None
-    return run_episode(world, chain, controller, SimConfig(idle_timeout_s=idle),
+    return run_episode(world, chain, controller, _sim_config(controller),
                        initial_assignment=dict(enumerate(depots)))
 
 
@@ -313,7 +321,7 @@ def train_hlp_agent(world: ScenarioWorld, llp_agents: dict[int, LlpAgent],
         fleet = sample_fleet(center, len(world.depots), run_rng)
         agent.explore_eps = cfg.ddpg.explore_eps(episode)
         trainer = HlpTrainer(agent, llp_agents, world, run_rng)
-        run_episode(world, chain, trainer, SimConfig(), n_responders=fleet)
+        run_episode(world, chain, trainer, _sim_config(trainer), n_responders=fleet)
         if episode_hook is not None:
             episode_hook(episode, agent)
     return agent
@@ -464,10 +472,8 @@ def eval_chain(spec: ExperimentSpec, world: ScenarioWorld, agents, chain_seed: i
     controller = _controller(spec, world, agents, chain_seed)
     fleet = resolve_fleet(world, spec.fleet_size)
     if region is None:
-        idle = (controller.trigger.idle_timeout_s if controller is not None
-                and controller.trigger.mode == "baseline" else None)
         chain = sample_chain(world.rates, spec.horizon_s, chain_seed)
-        return run_episode(world, chain, controller, SimConfig(idle_timeout_s=idle),
+        return run_episode(world, chain, controller, _sim_config(controller),
                            n_responders=fleet)
     return run_region_episode(world, region, controller, chain_seed, spec.horizon_s, fleet)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -112,25 +113,32 @@ class IncidentChain:
             raise ValueError("chain incidents must fall within the horizon")
 
 
-def sample_chain(rates: RateModel, horizon_s: float, seed: int) -> IncidentChain:
-    """Draw one incident realization: per cell and bucket window, a Poisson
-    count with uniform times inside the window."""
-    if horizon_s <= 0:
-        raise ValueError("horizon must be positive")
-    rng = np.random.default_rng(seed)
+def sample_incidents(rates: RateModel, cells: np.ndarray, t0: float, t_end: float,
+                     rng: np.random.Generator) -> list[tuple[float, int]]:
+    """Time-sorted (t, cell) incidents on `cells` in [t0, t_end): per window
+    ending at a rate-bucket boundary, one Poisson count per cell, then uniform
+    times inside the window for each cell with a nonzero count."""
     events: list[tuple[float, int]] = []
     dur = rates.bucket_duration_s
-    start = 0.0
-    while start < horizon_s:
-        end = min(start + dur, horizon_s)
-        lam = rates.rates_at(start)  # incidents/hour
-        expected = lam * (end - start) / 3600.0
+    start = t0
+    while start < t_end:
+        end = min(math.floor(start / dur + 1) * dur, t_end)
+        expected = rates.rates_at(start)[cells] * (end - start) / 3600.0  # rates per hour
         counts = rng.poisson(expected)
-        for cell in np.flatnonzero(counts):
-            ts = rng.uniform(start, end, size=int(counts[cell]))
-            events.extend((float(t), int(cell)) for t in ts)
+        for j in np.flatnonzero(counts):
+            ts = rng.uniform(start, end, size=int(counts[j]))
+            events.extend((float(t), int(cells[j])) for t in ts)
         start = end
     events.sort()
+    return events
+
+
+def sample_chain(rates: RateModel, horizon_s: float, seed: int) -> IncidentChain:
+    """Draw one incident realization over every cell from t = 0."""
+    if horizon_s <= 0:
+        raise ValueError("horizon must be positive")
+    events = sample_incidents(rates, np.arange(rates.n_cells), 0.0, horizon_s,
+                              np.random.default_rng(seed))
     return IncidentChain(tuple(events), horizon_s, seed)
 
 

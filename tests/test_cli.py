@@ -89,6 +89,20 @@ def test_exit_codes(tmp_path):
     assert main(["compare", f"a={run}"]) == 2
     assert main(["compare", f"a={run}", "--out", str(tmp_path / "x.csv")]) == 2
     assert not (tmp_path / "x.csv").exists()
+    # config error: a fleet that is empty or outnumbers the depots, caught
+    # before any output is written
+    ckpt = tmp_path / "ckpt"
+    train_tiny(scenario, ckpt, "0:2", "50:51")
+    for fleet in ("0", "2"):
+        for command, extra in (("eval", ["--planner", "greedy"]),
+                               ("train", ["--episodes-llp", "1", "--episodes-hlp", "0"]),
+                               ("noise-sweep", ["--checkpoint-dir", str(ckpt),
+                                                "--sigmas", "0"])):
+            out = tmp_path / f"{command}_fleet{fleet}"
+            assert main([command, "--scenario", str(scenario), "--out-dir", str(out),
+                         "--seed", "1", "--fleet", fleet, "--horizon-days", "0.1",
+                         "--eval-seeds", "60:61", *extra]) == 2
+            assert not out.exists()
     # config error: too many depots for the grid
     assert main(["generate", "--out", str(tmp_path / "x.json"), "--seed", "0",
                  "--nx", "2", "--ny", "2", "--depots", "9", "--hospitals", "1",

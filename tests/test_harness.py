@@ -263,6 +263,30 @@ class TestRegionFleet:
             assert self.training_fleets(monkeypatch, world, g, seed=3) == fleets
 
 
+def test_idle_ticks_reach_only_baseline_triggers(monkeypatch, tmp_path):
+    """Every episode takes its SimConfig from its controller: idle ticks for
+    "baseline" triggers, none for "ours" triggers or without a controller."""
+    world = two_region_world()
+    configs = []
+    monkeypatch.setattr(harness, "run_episode",
+                        lambda world, chain, controller, config, **kw: configs.append(
+                            (controller.trigger.mode if controller else None,
+                             config.idle_timeout_s)))
+    cfg = tiny_train_cfg(episodes_llp=1, episodes_hlp=1, horizon_s=3600.0)
+    llp_agents = {g: LlpAgent(g, 2, cfg.ddpg, np.random.default_rng(g)) for g in (0, 1)}
+    for planner, agents in (("drl", (llp_agents, None)), ("greedy", None), ("static", None)):
+        spec = harness.ExperimentSpec("", planner, str(tmp_path), fleet_size=2,
+                                      horizon_s=3600.0)
+        harness.eval_chain(spec, world, agents, 50, region=0)
+        harness.eval_chain(spec, world, agents, 50)
+    harness.train_llp_agent(world, 0, cfg, [0], seed=1)
+    harness.train_hlp_agent(world, llp_agents, cfg, [0], seed=1)
+    assert configs == [("ours", None), ("ours", None),
+                       ("baseline", 3600.0), ("baseline", 3600.0),
+                       (None, None), (None, None),
+                       ("baseline", 3600.0), ("ours", None)]
+
+
 def save_untrained(path, world, llp_depots=None, hlp_regions=None):
     """Untrained agents shaped for world, with optional wrong shapes:
     {region: depot count} overrides and a city agent for hlp_regions regions."""

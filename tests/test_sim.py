@@ -32,6 +32,58 @@ class TestSampleChain:
         assert all(0 <= t <= chain.horizon_s for t in ts)
 
 
+def frozen_sample_chain(rates, horizon_s, seed):
+    """sample_chain as it was before search shared its sampler: the
+    reference the shared sampler must reproduce bit for bit."""
+    rng = np.random.default_rng(seed)
+    events = []
+    dur = rates.bucket_duration_s
+    start = 0.0
+    while start < horizon_s:
+        end = min(start + dur, horizon_s)
+        lam = rates.rates_at(start)
+        expected = lam * (end - start) / 3600.0
+        counts = rng.poisson(expected)
+        for cell in np.flatnonzero(counts):
+            ts = rng.uniform(start, end, size=int(counts[cell]))
+            events.extend((float(t), int(cell)) for t in ts)
+        start = end
+    events.sort()
+    return sim.IncidentChain(tuple(events), horizon_s, seed)
+
+
+class TestSampleIncidents:
+    @pytest.mark.parametrize("bucket_s, n_buckets", [(3600, 24), (7200, 12), (21600, 4)])
+    @pytest.mark.parametrize("horizon_s", [3600.0, 5000.0, 2 * 86400.0,
+                                           8 * 86400.0 + 1234.5])
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    def test_chain_matches_the_frozen_sampler(self, bucket_s, n_buckets, horizon_s, seed):
+        rates = np.random.default_rng(bucket_s + seed).uniform(0.5, 2.0, (n_buckets, 9))
+        rates[:, [2, 5]] = 0.0                 # two cells never see an incident
+        rates[n_buckets // 2] = 0.0            # one bucket sees none anywhere
+        rm = geo.RateModel(bucket_s, rates)
+        chain = sim.sample_chain(rm, horizon_s, seed)
+        assert chain == frozen_sample_chain(rm, horizon_s, seed)
+        assert chain.incidents and {c for _, c in chain.incidents}.isdisjoint({2, 5})
+
+    def test_window_starting_mid_bucket(self):
+        # each 2 h bucket puts all demand on a cell of its own
+        bucket_s, hot = 7200, [0, 3, 5, 7]
+        rates = np.zeros((4, 8))
+        rates[np.arange(4), hot] = 20.0
+        rates[:, 6] = 20.0                     # busy, but never requested
+        rm = geo.RateModel(bucket_s, rates)
+        cells = np.array([0, 3, 5, 7])
+        t0, t_end = 3000.0, 3000.0 + 3 * bucket_s
+        events = sim.sample_incidents(rm, cells, t0, t_end, np.random.default_rng(4))
+        assert events == sorted(events)
+        assert {c for _, c in events} == set(hot)
+        for t, c in events:
+            assert t0 <= t < t_end
+            bucket = hot.index(c)
+            assert bucket * bucket_s <= t < (bucket + 1) * bucket_s
+
+
 class TestDispatch:
     def test_responder_at_scene(self):
         # responder idles at the incident cell; hospital one hop away
