@@ -2,7 +2,9 @@
 
 The search-based planner runs UCT over single-responder moves, scoring leaf
 allocations with greedy-dispatch rollouts against incident futures that the
-simulator's sampler (sim.sample_incidents) draws on the region's cells.
+simulator's sampler (sim.sample_incidents) draws on the region's cells;
+each incident's hospital leg reads the world's nearest-hospital table, the
+rule the simulator's dispatch uses.
 The published description leaves the action model and rollout policy open, so
 this module uses the simplest faithful reconstruction: one move per responder
 per plan, a stop action, and no reallocation inside rollouts.
@@ -55,9 +57,9 @@ def _rollout_value(ready: dict[int, tuple[float, int]], future: list[tuple[float
             break
         scene_t = t_i + best_resp
         depart = scene_t + t_serve_s
-        hosp = world.nearest_hospital(cell, depart)
-        h_cell = world.hospitals[hosp].cell
-        avail = depart + world.travel.travel_time(cell, h_cell, depart)
+        _, h_cells, h_times = world.hospital_table(world.travel.bucket_index(depart))
+        h_cell = h_cells[cell]
+        avail = depart + h_times[cell]
         depot = ready[best_rid][1]
         back = avail + world.travel.travel_time(h_cell, world.depots[depot].cell, avail)
         ready[best_rid] = (back, depot)

@@ -1,9 +1,9 @@
 """Geography, travel model, incident-rate model, and region segmentation.
 
 Everything here is immutable after construction and safe to share between
-threads; ScenarioWorld fills its nearby-rate and region-rate tables on first
-use, with values that never change. Times are seconds, rates are incidents
-per hour, distances miles.
+threads; ScenarioWorld fills its nearby-rate, region-rate and nearest-hospital
+tables on first use, with values that never change. Times are seconds, rates
+are incidents per hour, distances miles.
 """
 
 from __future__ import annotations
@@ -319,6 +319,8 @@ class ScenarioWorld:
     _nearby: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # rate bucket -> {region id: region rate}, filled on first use like _nearby
     _region_rates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # travel bucket -> nearest hospital per cell (ids, cells, times), filled on first use
+    _hospital_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.hospitals:
@@ -372,14 +374,25 @@ class ScenarioWorld:
             self._nearby[key] = lam
         return MappingProxyType(lam)
 
+    def hospital_table(self, b: int) -> tuple[list[int], list[int], list[float]]:
+        """Per cell, in travel bucket b: the id and cell of the hospital reached
+        fastest from it, and the time to it; ties to the lowest hospital id."""
+        table = self._hospital_tables.get(b)
+        if table is None:
+            ids = sorted(self.hospitals)
+            cells = [self.hospitals[h].cell for h in ids]
+            times = self.travel.matrices[b][:, cells]
+            best = times.argmin(axis=1).tolist()  # argmin takes first (= lowest id) on ties
+            table = ([ids[j] for j in best], [cells[j] for j in best],
+                     times[np.arange(len(best)), best].tolist())
+            self._hospital_tables[b] = table
+        return table
+
     def nearest_hospital(self, from_cell: int, t: float) -> int:
         """Hospital reachable fastest from from_cell at time t; ties to lowest id."""
-        best, best_t = None, None
-        for h in sorted(self.hospitals):
-            tt = self.travel.travel_time(from_cell, self.hospitals[h].cell, t)
-            if best_t is None or tt < best_t:
-                best, best_t = h, tt
-        return best
+        if not 0 <= from_cell < self.grid.n_cells or t < 0:
+            raise ScenarioError(f"nearest hospital needs a known cell and t >= 0: {from_cell}, {t}")
+        return self.hospital_table(self.travel.bucket_index(t))[0][from_cell]
 
 
 def _max_depot_rate(world: ScenarioWorld) -> float:

@@ -1,10 +1,12 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
-from conftest import chain_of, make_world, uniform_table
+from conftest import bench_city, chain_of, make_world, uniform_table
 
 from ermrl import baselines, sim
+from ermrl.features import arrival_times
 
 
 def line_world(rates, depot_cells, hospital_cells=(1,), spacing_s=100.0):
@@ -59,6 +61,166 @@ class TestMcts:
             s = fresh_sim(world, {0: 0, 1: 1})
             outs.append(baselines.mcts_plan(s, 0, cfg, np.random.default_rng(7)))
         assert outs[0] == outs[1]
+
+
+# --- search oracle: the plain search, every lookup through travel_time ---------------
+#
+# Frozen copies of mcts_plan, its rollout and its tree node as they were before
+# rollouts read the world's nearest-hospital table: every iteration rolls out
+# through TravelModel.travel_time and a scan over the hospitals.
+
+def scan_nearest_hospital(world, from_cell, t):
+    best, best_t = None, None
+    for h in sorted(world.hospitals):
+        tt = world.travel.travel_time(from_cell, world.hospitals[h].cell, t)
+        if best_t is None or tt < best_t:
+            best, best_t = h, tt
+    return best
+
+
+def oracle_rollout_value(ready, future, world, t0, t_serve_s):
+    ready = dict(ready)
+    total = 0.0
+    for t_i, cell in future:
+        best_rid, best_resp = None, None
+        for rid in sorted(ready):
+            ready_t, depot = ready[rid]
+            start = max(ready_t, t_i)
+            depot_cell = world.depots[depot].cell
+            resp = (start - t_i) + world.travel.travel_time(depot_cell, cell, start)
+            if best_resp is None or resp < best_resp:
+                best_rid, best_resp = rid, resp
+        if best_rid is None:
+            break
+        scene_t = t_i + best_resp
+        depart = scene_t + t_serve_s
+        hosp = scan_nearest_hospital(world, cell, depart)
+        h_cell = world.hospitals[hosp].cell
+        avail = depart + world.travel.travel_time(cell, h_cell, depart)
+        depot = ready[best_rid][1]
+        back = avail + world.travel.travel_time(h_cell, world.depots[depot].cell, avail)
+        ready[best_rid] = (back, depot)
+        total += (baselines.ROLLOUT_DISCOUNT ** (t_i - t0)) * best_resp
+    return -total
+
+
+class OracleNode:
+    __slots__ = ("assignment", "moved", "untried", "children", "visits", "value")
+
+    def __init__(self, assignment, moved, depot_ids):
+        self.assignment = assignment
+        self.moved = moved
+        occupied = set(assignment.values())
+        moves = [(rid, d) for rid in sorted(assignment) if rid not in moved
+                 for d in depot_ids if d not in occupied]
+        self.untried = ["stop"] + moves
+        self.children = []
+        self.visits = 0
+        self.value = 0.0
+
+
+def oracle_mcts_plan(s, region, cfg, rng):
+    world = s.world
+    member_ids = s.region_responders(region)
+    depot_ids = world.region_depots(region)
+    region_cells = np.array(sorted(world.seg.region_cells[region]))
+    t0 = s.now
+    t_serve = s.cfg.t_serve_s
+    futures = [sim.sample_incidents(world.rates, region_cells, t0, t0 + cfg.rollout_horizon_s, rng)
+               for _ in range(cfg.n_samples)]
+    etas = arrival_times([s.responders[rid] for rid in member_ids], depot_ids, t0, world)
+    eta = {rid: dict(zip(depot_ids, row)) for rid, row in zip(member_ids, etas.tolist())}
+
+    def evaluate(assignment):
+        ready = {rid: (t0 + eta[rid][d], d) for rid, d in assignment.items()}
+        future = futures[int(rng.integers(len(futures)))]
+        return oracle_rollout_value(ready, future, world, t0, t_serve)
+
+    root = OracleNode({rid: s.responders[rid].depot for rid in member_ids}, frozenset(),
+                      depot_ids)
+    scale = 1.0
+    for _ in range(cfg.iteration_limit):
+        node = root
+        path = [root]
+        while not node.untried and node.children:
+            log_n = math.log(max(node.visits, 1))
+            best, best_score = None, None
+            for action, child in node.children:
+                score = (child.value / child.visits / scale
+                         + baselines.UCT_C * math.sqrt(log_n / child.visits))
+                if best_score is None or score > best_score:
+                    best, best_score = child, score
+            node = best
+            path.append(node)
+        if node.untried:
+            action = node.untried.pop(0)
+            if action == "stop":
+                child = OracleNode(node.assignment, frozenset(node.assignment), depot_ids)
+                child.untried = []
+            else:
+                rid, depot = action
+                assignment = dict(node.assignment)
+                assignment[rid] = depot
+                child = OracleNode(assignment, node.moved | {rid}, depot_ids)
+            node.children.append((action, child))
+            node = child
+            path.append(node)
+        value = evaluate(node.assignment)
+        scale = max(scale, abs(value))
+        for n in path:
+            n.visits += 1
+            n.value += value
+    node = root
+    while node.children:
+        node = max(node.children, key=lambda pair: pair[1].visits)[1]
+    return dict(node.assignment)
+
+
+def city_state(name, now, busy=()):
+    """A bench city at time now, its default fleet on the default depots;
+    each (responder, cell) in busy has just been sent to an incident at cell."""
+    world = bench_city(name)
+    s = sim.Simulator(world, chain_of([], now + 86400.0), sim.SimConfig(),
+                      n_responders=round(0.7 * len(world.depots)))
+    s.now = now
+    for k, (rid, cell) in enumerate(busy):
+        s._assign_to_incident(rid, sim.Incident(k, cell, now))
+    return s
+
+
+SEARCH_STATES = {
+    # (city, sim.now, busy responders, searched regions)
+    "default-midnight": ("default", 0.0, (), (0, 1)),
+    "default-rush": ("default", 8 * 3600.0 + 1234.5, (), (0, 1)),
+    "default-before-boundary": ("default", 17 * 3600.0 - 0.25, (), (0, 1)),
+    # two of region 0's three responders are at a scene: each is ready only
+    # after the scene, the hospital and the ride on, in a later travel bucket
+    "default-busy": ("default", 3 * 3600.0 - 200.0, ((0, 0), (1, 35)), (0,)),
+    "metro": ("metro", 7 * 3600.0 + 900.0, (), (1,)),
+}
+
+
+class TestSearchOracle:
+    @pytest.mark.parametrize("state", sorted(SEARCH_STATES))
+    def test_plans_and_rng_match_the_plain_search(self, state):
+        name, now, busy, regions = SEARCH_STATES[state]
+        cfg = baselines.MctsConfig(iteration_limit=200, n_samples=10)
+        s = city_state(name, now, busy)
+        for region in regions:
+            rng, oracle_rng = np.random.default_rng(11), np.random.default_rng(11)
+            for _ in range(2):  # the second plan continues the first one's stream
+                plan = baselines.mcts_plan(s, region, cfg, rng)
+                assert plan == oracle_mcts_plan(s, region, cfg, oracle_rng)
+                assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_busy_responders_are_ready_in_a_later_travel_bucket(self):
+        name, now, busy, (region,) = SEARCH_STATES["default-busy"]
+        s = city_state(name, now, busy)
+        world = s.world
+        etas = arrival_times([s.responders[rid] for rid, _ in busy],
+                             world.region_depots(region), now, world)
+        bucket = world.travel.bucket_index
+        assert all(bucket(now + e) > bucket(now) for e in etas.ravel())
 
 
 def pmedian_objective(world, chosen, alpha, t=0.0):

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import BENCH_CITIES, bench_city
 
 from ermrl import geo
 
@@ -227,6 +228,67 @@ class TestNearbyRateTable:
                                 [[1.0, 0.0], [1.0, 1.0]], [0, 1])
         assert world.rate_scale == 2.0
         assert world.nearby_rates_at(84 * 3600.0)[0] == 2.0
+
+
+def scan_nearest_hospital(world, cell, t):
+    """The hospital rule as a scan: fastest by travel_time, ties to the lowest id."""
+    best, best_t = None, None
+    for h in sorted(world.hospitals):
+        tt = world.travel.travel_time(cell, world.hospitals[h].cell, t)
+        if best_t is None or tt < best_t:
+            best, best_t = h, tt
+    return best, best_t
+
+
+def hospital_world(tables, hospitals):
+    n = len(tables[0])
+    grid = line_grid(n)
+    depots = {0: geo.Depot(0, 0)}
+    return geo.ScenarioWorld(grid, depots, hospitals, manual_travel(tables),
+                             uniform_rates(n), geo.single_region(grid, depots))
+
+
+class TestHospitalTable:
+    @pytest.mark.parametrize("name", sorted(BENCH_CITIES))
+    def test_equals_the_scan_at_every_bucket_and_cell(self, name):
+        world = bench_city(name)
+        travel = world.travel
+        for b in range(travel.matrices.shape[0]):
+            ids, cells, times = world.hospital_table(b)
+            for t in (b * travel.bucket_duration_s, (b + 0.5) * travel.bucket_duration_s):
+                for c in range(world.grid.n_cells):
+                    h, tt = scan_nearest_hospital(world, c, t)
+                    assert (ids[c], cells[c], times[c]) == (h, world.hospitals[h].cell, tt)
+                    assert world.nearest_hospital(c, t) == h
+
+    def test_a_tie_goes_to_the_lowest_id(self):
+        # cell 1 lies 60 s from both hospitals; the dict lists id 1 first
+        table = [[0.0, 60.0, 120.0], [60.0, 0.0, 60.0], [120.0, 60.0, 0.0]]
+        world = hospital_world([table], {1: geo.Hospital(1, 0), 0: geo.Hospital(0, 2)})
+        assert world.nearest_hospital(1, 0.0) == 0
+        assert world.hospital_table(0) == ([1, 0, 0], [0, 2, 2], [0.0, 60.0, 0.0])
+
+    def test_bucket_boundaries(self):
+        # cell 1 is nearer hospital 0 (cell 0) in bucket 0, hospital 1 (cell 2) in bucket 1
+        near_0 = [[0.0, 50.0, 90.0], [50.0, 0.0, 70.0], [90.0, 70.0, 0.0]]
+        near_2 = [[0.0, 70.0, 90.0], [70.0, 0.0, 50.0], [90.0, 50.0, 0.0]]
+        world = hospital_world([near_0, near_2], {0: geo.Hospital(0, 0), 1: geo.Hospital(1, 2)})
+        for t, expected in ((0.0, 0), (np.nextafter(3600.0, 0.0), 0), (3600.0, 1),
+                            (np.nextafter(7200.0, 0.0), 1), (7200.0, 0)):
+            assert world.nearest_hospital(1, float(t)) == expected == scan_nearest_hospital(
+                world, 1, float(t))[0]
+
+    def test_rejects_an_unknown_cell_or_negative_time(self):
+        world = hospital_world([[[0.0, 1.0], [1.0, 0.0]]], {0: geo.Hospital(0, 0)})
+        for cell, t in ((2, 0.0), (-1, 0.0), (0, -1.0)):
+            with pytest.raises(geo.ScenarioError):
+                world.nearest_hospital(cell, t)
+
+    def test_tables_are_built_on_first_use_and_kept(self):
+        world = geo.world_from_json(geo.world_to_json(bench_city("default")))
+        assert world._hospital_tables == {}
+        assert world.hospital_table(5) is world.hospital_table(5)
+        assert sorted(world._hospital_tables) == [5]
 
 
 def two_blob_grid():
