@@ -71,18 +71,28 @@ class DdpgAgent:
     bootstrap from), and the batch-mean actor Q and gradient of -Q (counting
     observations it cannot act on as zero)."""
 
-    def __init__(self, actor, critic, cfg: DdpgConfig, gamma: float):
+    def __init__(self, actor, critic, cfg: DdpgConfig, gamma: float,
+                 actor_target=None, critic_target=None):
         self.cfg = cfg
         self.gamma = gamma
         self.actor = actor
-        self.actor_target = copy.deepcopy(actor)
+        self.actor_target = copy.deepcopy(actor) if actor_target is None else actor_target
         self.critic = critic
-        self.critic_target = copy.deepcopy(critic)
+        self.critic_target = copy.deepcopy(critic) if critic_target is None else critic_target
         self.actor_opt = nn.adam_init(actor)
         self.critic_opt = nn.adam_init(critic)
         self.buffer = ReplayBuffer(cfg.buffer_capacity)
         self.explore_eps = cfg.eps_start
         self.updates: list[dict] = []  # train_step statistics, in order
+
+    @classmethod
+    def from_networks(cls, networks: dict, cfg: DdpgConfig, gamma: float, **attrs):
+        """An agent around the four given networks {role: network}, with the attrs
+        cls's constructor would set, zeroed Adam moments and an empty buffer."""
+        agent = cls.__new__(cls)
+        vars(agent).update(attrs)
+        DdpgAgent.__init__(agent, cfg=cfg, gamma=gamma, **networks)
+        return agent
 
     def observe(self, transition) -> None:
         self.buffer.push(transition)

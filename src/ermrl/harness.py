@@ -233,16 +233,22 @@ def train_llp_agent(world: ScenarioWorld, region: int, cfg: TrainConfig,
                          inner_sizes=cfg.llp_inner, actor_dropout=cfg.llp_dropout,
                          critic_hidden=cfg.critic_hidden,
                          critic_dropout=cfg.critic_dropout)
-    center = cfg.default_fleet(world)
-    for episode in range(cfg.episodes_llp):
-        chain_seed = train_seeds[episode % len(train_seeds)]
-        fleet = sample_fleet(center, len(world.depots), run_rng)
-        agent.explore_eps = cfg.ddpg.explore_eps(episode)
+    for chain_seed, fleet in _episodes(agent, cfg.episodes_llp, world, cfg, train_seeds,
+                                       run_rng, episode_hook):
         controller = LlpTrainingController(agent, world, run_rng)
         run_region_episode(world, region, controller, chain_seed, cfg.horizon_s, fleet)
-        if episode_hook is not None:
-            episode_hook(episode, agent)
     return agent
+
+
+def _episodes(agent, n_episodes, world, cfg, train_seeds, run_rng, episode_hook):
+    """The loop both trainers share: episode k sets explore_eps(k), yields its chain
+    seed and a city fleet drawn around the default, then calls episode_hook(k, agent)."""
+    center = cfg.default_fleet(world)
+    for k in range(n_episodes):
+        agent.explore_eps = cfg.ddpg.explore_eps(k)
+        yield train_seeds[k % len(train_seeds)], sample_fleet(center, len(world.depots), run_rng)
+        if episode_hook is not None:
+            episode_hook(k, agent)
 
 
 class HlpTrainer(HierarchyController):
@@ -314,16 +320,11 @@ def train_hlp_agent(world: ScenarioWorld, llp_agents: dict[int, LlpAgent],
                          actor_hidden=cfg.hlp_hidden, actor_dropout=cfg.hlp_dropout,
                          critic_hidden=cfg.critic_hidden,
                          critic_dropout=cfg.critic_dropout)
-    center = cfg.default_fleet(world)
-    for episode in range(cfg.episodes_hlp):
-        chain_seed = train_seeds[episode % len(train_seeds)]
+    for chain_seed, fleet in _episodes(agent, cfg.episodes_hlp, world, cfg, train_seeds,
+                                       run_rng, episode_hook):
         chain = sample_chain(world.rates, cfg.horizon_s, chain_seed)
-        fleet = sample_fleet(center, len(world.depots), run_rng)
-        agent.explore_eps = cfg.ddpg.explore_eps(episode)
         trainer = HlpTrainer(agent, llp_agents, world, run_rng)
         run_episode(world, chain, trainer, _sim_config(trainer), n_responders=fleet)
-        if episode_hook is not None:
-            episode_hook(episode, agent)
     return agent
 
 
@@ -332,22 +333,13 @@ def train_hlp_agent(world: ScenarioWorld, llp_agents: dict[int, LlpAgent],
 _NETWORK_ROLES = ("actor", "actor_target", "critic", "critic_target")
 
 
-def _checkpoint_prefixes(llp_agents: dict[int, LlpAgent],
-                         hlp_agent: HlpAgent | None) -> dict:
-    """{checkpoint name prefix: agent}, region agents first."""
-    named = {f"llp{g}": agent for g, agent in llp_agents.items()}
-    if hlp_agent is not None:
-        named["hlp"] = hlp_agent
-    return named
-
-
 def save_agents(path_dir, llp_agents: dict[int, LlpAgent],
                 hlp_agent: HlpAgent | None, manifest: dict) -> None:
     path_dir = Path(path_dir)
     path_dir.mkdir(parents=True, exist_ok=True)
-    named = {f"{prefix}_{role}": getattr(agent, role)
-             for prefix, agent in _checkpoint_prefixes(llp_agents, hlp_agent).items()
-             for role in _NETWORK_ROLES}
+    agents = {**{f"llp{g}": agent for g, agent in llp_agents.items()}, "hlp": hlp_agent}
+    named = {f"{prefix}_{role}": getattr(agent, role) for prefix, agent in agents.items()
+             if agent is not None for role in _NETWORK_ROLES}
     nn.save_checkpoint(path_dir / "networks.npz", named)
     with open(path_dir / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2)
@@ -359,35 +351,29 @@ def _read_manifest(path_dir) -> dict:
 
 
 def load_agents(path_dir, world: ScenarioWorld) -> tuple[dict[int, LlpAgent], HlpAgent | None]:
-    """The checkpoint's agents, built with the DDPG settings its manifest
-    records; a setting DdpgConfig does not have is a ValueError."""
+    """The checkpoint's agents, made from its networks with the DDPG settings
+    its manifest records; a setting DdpgConfig does not have is a ValueError."""
     path_dir = Path(path_dir)
     settings = _read_manifest(path_dir).get("ddpg", {})
     unknown = sorted(set(settings) - {f.name for f in fields(DdpgConfig)})
     if unknown:
         raise ValueError(f"the checkpoint's manifest names unknown DDPG settings {unknown}")
     ddpg = DdpgConfig(**settings)
-    nets = nn.load_checkpoint(path_dir / "networks.npz")
-    _check_fits(nets, world)
-    rng = np.random.default_rng(0)
-    llp_agents = {g: LlpAgent(g, len(world.region_depots(g)), ddpg, rng)
+    networks = _check_fits(nn.load_checkpoint(path_dir / "networks.npz"), world)
+    llp_agents = {g: LlpAgent.from_networks(networks[f"llp{g}"], ddpg, ddpg.gamma, region=g,
+                                            n_depots=len(world.region_depots(g)))
                   for g in world.seg.region_ids}
-    hlp_agent = (HlpAgent(len(world.seg.region_ids), ddpg, rng)
-                 if "hlp_actor" in nets else None)
-    for prefix, agent in _checkpoint_prefixes(llp_agents, hlp_agent).items():
-        for role in _NETWORK_ROLES:
-            setattr(agent, role, nets[f"{prefix}_{role}"])
-        # fresh moments shaped like the loaded networks, not the default ones
-        agent.actor_opt = nn.adam_init(agent.actor)
-        agent.critic_opt = nn.adam_init(agent.critic)
+    hlp_agent = (HlpAgent.from_networks(networks["hlp"], ddpg, ddpg.gamma_high,
+                                        n_regions=len(world.seg.region_ids))
+                 if "hlp" in networks else None)
     return llp_agents, hlp_agent
 
 
-def _check_fits(nets: dict, world: ScenarioWorld) -> None:
-    """Raise ValueError unless the checkpoint holds one region agent per world
-    region, each with all four networks and one output per depot of its
-    region, and a city agent, if any, with all four networks and one output
-    per region but the last."""
+def _check_fits(nets: dict, world: ScenarioWorld) -> dict:
+    """{agent prefix: {role: network}}, or ValueError unless the checkpoint
+    holds one region agent per world region, each with all four networks and
+    one output per depot of its region, and a city agent, if any, with all
+    four networks and one output per region but the last."""
     regions = world.seg.region_ids
     saved = {int(name[3:name.index("_")]) for name in nets if name.startswith("llp")}
     unmatched = sorted(saved ^ set(regions))
@@ -411,6 +397,7 @@ def _check_fits(nets: dict, world: ScenarioWorld) -> None:
     if "hlp_actor" in nets and nets["hlp_actor"].n_outputs != len(regions) - 1:
         raise ValueError(f"the checkpoint's city actor has {nets['hlp_actor'].n_outputs} "
                          f"outputs, the world's {len(regions)} regions need {len(regions) - 1}")
+    return {p: {role: nets[f"{p}_{role}"] for role in _NETWORK_ROLES} for p in prefixes}
 
 
 # --- evaluation -------------------------------------------------------------------

@@ -36,6 +36,11 @@ def _glorot(rng: np.random.Generator, d_in: int, d_out: int) -> Array:
     return rng.uniform(-limit, limit, size=(d_in, d_out))
 
 
+def _weights(rng: np.random.Generator | None, d_in: int, d_out: int) -> Array:
+    """Glorot draws; with rng None unfilled, for load_checkpoint, which checks it fills all."""
+    return np.empty((d_in, d_out)) if rng is None else _glorot(rng, d_in, d_out)
+
+
 # name -> (activation, its derivative)
 _ACTIVATIONS = {
     "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0).astype(float)),
@@ -80,7 +85,7 @@ class MlpParams:
         return self.layers[-1].w.shape[1]
 
 
-def mlp_init(sizes: list[int], rng: np.random.Generator,
+def mlp_init(sizes: list[int], rng: np.random.Generator | None,
              activations: list[str] | None = None,
              dropouts: list[float] | None = None) -> MlpParams:
     """sizes = [d_in, h1, ..., d_out]; default hidden relu + linear output."""
@@ -89,7 +94,7 @@ def mlp_init(sizes: list[int], rng: np.random.Generator,
         activations = ["relu"] * (n - 1) + ["linear"]
     if dropouts is None:
         dropouts = [0.0] * n
-    layers = [DenseLayer(_glorot(rng, sizes[i], sizes[i + 1]), np.zeros(sizes[i + 1]),
+    layers = [DenseLayer(_weights(rng, sizes[i], sizes[i + 1]), np.zeros(sizes[i + 1]),
                          activations[i], dropouts[i]) for i in range(n)]
     return MlpParams(layers)
 
@@ -205,10 +210,10 @@ class MhaParams:
         return [self.wq, self.bq, self.wk, self.bk, self.wv, self.bv, self.wo, self.bo]
 
 
-def mha_init(width: int, n_heads: int, rng: np.random.Generator) -> MhaParams:
+def mha_init(width: int, n_heads: int, rng: np.random.Generator | None) -> MhaParams:
     if n_heads < 1 or width % n_heads != 0:
         raise ValueError("model width must be a positive multiple of the head count")
-    return MhaParams(*(a for _ in "qkvo" for a in (_glorot(rng, width, width), np.zeros(width))),
+    return MhaParams(*(a for _ in "qkvo" for a in (_weights(rng, width, width), np.zeros(width))),
                      n_heads)
 
 
@@ -288,7 +293,7 @@ class TrxlParams:
         return self.out_proj.w.shape[1]
 
 
-def trxl_init(feat_dim: int, n_outputs: int, rng: np.random.Generator,
+def trxl_init(feat_dim: int, n_outputs: int, rng: np.random.Generator | None,
               width: int | None = None, n_heads: int = 2, n_layers: int = 1,
               inner_sizes: tuple[int, ...] = (32,), inner_dropout: float = 0.0) -> TrxlParams:
     if n_layers < 1:
@@ -300,8 +305,8 @@ def trxl_init(feat_dim: int, n_outputs: int, rng: np.random.Generator,
                          dropouts=[inner_dropout] * len(inner_sizes) + [0.0])
         layers.append(TrxlLayer(mha_init(width, n_heads, rng), norm_init(width),
                                 inner, norm_init(width)))
-    in_proj = DenseLayer(_glorot(rng, feat_dim, width), np.zeros(width))
-    out_proj = DenseLayer(_glorot(rng, width, n_outputs), np.zeros(n_outputs))
+    in_proj = DenseLayer(_weights(rng, feat_dim, width), np.zeros(width))
+    out_proj = DenseLayer(_weights(rng, width, n_outputs), np.zeros(n_outputs))
     return TrxlParams(in_proj, layers, out_proj)
 
 
@@ -361,8 +366,7 @@ class AdamState:
 
 def adam_init(params) -> AdamState:
     arrays = params.arrays()
-    return AdamState([np.zeros_like(a) for a in arrays],
-                     [np.zeros_like(a) for a in arrays])
+    return AdamState([np.zeros(a.shape) for a in arrays], [np.zeros(a.shape) for a in arrays])
 
 
 def adam_step(state: AdamState, params, grads: list[Array], lr: float):
@@ -423,11 +427,10 @@ def _build(name: str, spec: dict):
     missing = [k for k in ("kind", *_ENTRY_KEYS.get(spec.get("kind"), ())) if k not in spec]
     if missing:
         raise ValueError(f"checkpoint entry {name} has no {missing[0]}")
-    rng = np.random.default_rng(0)
     if spec["kind"] == "mlp":
-        return mlp_init(spec["sizes"], rng, spec["activations"], spec["dropouts"])
+        return mlp_init(spec["sizes"], None, spec["activations"], spec["dropouts"])
     if spec["kind"] == "trxl":
-        return trxl_init(spec["feat_dim"], spec["n_outputs"], rng, spec["width"],
+        return trxl_init(spec["feat_dim"], spec["n_outputs"], None, spec["width"],
                          spec["n_heads"], spec["n_layers"], tuple(spec["inner_sizes"]),
                          spec["inner_dropout"])
     raise ValueError(f"unknown checkpoint kind {spec['kind']}")
@@ -461,8 +464,8 @@ def load_checkpoint(path) -> dict:
     arrays = [a for p in out.values() for a in p.arrays()]
     sizes = [a.size for a in arrays]
     if flat.shape != (sum(sizes),):
-        raise ValueError(f"checkpoint holds {flat.size} parameters, "
+        raise ValueError(f"checkpoint holds parameters of shape {flat.shape}, "
                          f"its entries describe {sum(sizes)}")
-    for a, part in zip(arrays, np.split(flat, np.cumsum(sizes)[:-1])):
-        a[...] = part.reshape(a.shape)
+    for a, end in zip(arrays, np.cumsum(sizes).tolist()):
+        a[...] = flat[end - a.size:end].reshape(a.shape)
     return out

@@ -1,3 +1,4 @@
+import copy
 import csv
 import itertools
 import json
@@ -173,16 +174,46 @@ class TestTrainingPipeline:
         llp_agents = {g: harness.train_llp_agent(world, g, cfg, [0], seed=7)
                       for g in (0, 1)}
         hlp = harness.train_hlp_agent(world, llp_agents, cfg, [0], seed=7)
-        manifest = {"ddpg": {"batch_size": 8}, "episodes_llp": 1}
-        harness.save_agents(tmp_path, llp_agents, hlp, manifest)
+        for agent in [*llp_agents.values(), hlp]:
+            # targets unlike their online networks, so a copy of one cannot pass
+            agent.actor_target.arrays()[0][0] += 1.0
+            agent.critic_target.arrays()[0][0] += 1.0
+        ddpg = {"batch_size": 8, "gamma": 0.3, "gamma_high": 0.7}
+        harness.save_agents(tmp_path, llp_agents, hlp, {"ddpg": ddpg, "episodes_llp": 1})
         loaded_llp, loaded_hlp = harness.load_agents(tmp_path, world)
-        for g in (0, 1):
-            for a, b in zip(llp_agents[g].actor.arrays(), loaded_llp[g].actor.arrays()):
-                assert np.array_equal(a, b)
-        for a, b in zip(hlp.critic.arrays(), loaded_hlp.critic.arrays()):
-            assert np.array_equal(a, b)
+        pairs = [(llp_agents[g], loaded_llp[g]) for g in (0, 1)] + [(hlp, loaded_hlp)]
+        for agent, loaded in pairs:
+            for role in ("actor", "actor_target", "critic", "critic_target"):
+                saved, net = getattr(agent, role), getattr(loaded, role)
+                assert nn._describe(net) == nn._describe(saved)
+                for a, b in zip(saved.arrays(), net.arrays(), strict=True):
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            assert loaded.actor_target is not loaded.actor
+            assert loaded.critic_target is not loaded.critic
+            assert len(loaded.buffer) == 0 and loaded.updates == []
+            for opt in (loaded.actor_opt, loaded.critic_opt):
+                assert opt.t == 0
+                assert all(not m.any() and not v.any() for m, v in zip(opt.m, opt.v))
+        assert [loaded_llp[g].gamma for g in (0, 1)] == [0.3, 0.3]
+        assert loaded_hlp.gamma == 0.7
+        assert [(loaded_llp[g].region, loaded_llp[g].n_depots) for g in (0, 1)] == [
+            (g, len(world.region_depots(g))) for g in (0, 1)]
+        assert loaded_hlp.n_regions == 2
         assert json.loads((tmp_path / "manifest.json").read_text())["episodes_llp"] == 1
 
+    def test_load_builds_nothing_it_discards(self, tmp_path, monkeypatch):
+        """Each loaded agent is made from its four saved networks: loading
+        draws no weights and copies no network."""
+        world = bench_city("metro")
+        save_untrained(tmp_path, world)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("loading built a network it then discards")
+        monkeypatch.setattr(nn, "_glorot", refuse)
+        monkeypatch.setattr(copy, "deepcopy", refuse)
+        llp, hlp = harness.load_agents(tmp_path, world)
+        assert sorted(llp) == world.seg.region_ids
+        assert hlp.n_regions == len(world.seg.region_ids)
 
     def test_loaded_agents_keep_training(self, tmp_path):
         # networks narrower than the constructor's defaults

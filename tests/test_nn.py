@@ -413,12 +413,17 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"entry {entry} has no {key}"):
             nn.load_checkpoint(path)
 
-    def test_short_vector_rejected(self, tmp_path):
+    @pytest.mark.parametrize("reshape", [lambda flat: flat[:-1],
+                                         lambda flat: np.append(flat, 0.0),
+                                         lambda flat: flat[None, :]], ids=["short", "long", "2d"])
+    def test_misshapen_vector_rejected(self, tmp_path, reshape):
+        """Load allocates its arrays unfilled; this check makes sure that the
+        vector fills every one of them, and nothing more."""
         path = tmp_path / "ckpt.npz"
         nn.save_checkpoint(path, self.nets())
         with np.load(path) as data:
             meta, flat = data["__meta__"], data["params"]
-        np.savez(path, __meta__=meta, params=flat[:-1])
+        np.savez(path, __meta__=meta, params=reshape(flat))
         with pytest.raises(ValueError, match="parameters"):
             nn.load_checkpoint(path)
 
