@@ -97,7 +97,8 @@ class TravelModel:
         period = matrices.shape[0] * bucket_duration_s
         if WEEK_S % period != 0:
             raise ScenarioError("travel bucket cycle must divide one week")
-        if not np.all(np.isfinite(matrices)) or np.any(matrices < 0):
+        # min/max make no full-size temporary, and a NaN propagates through both
+        if matrices.size and not (matrices.min() >= 0 and np.isfinite(matrices.max())):
             raise ScenarioError("travel times must be finite and nonnegative")
         if np.any(np.diagonal(matrices, axis1=1, axis2=2) != 0):
             raise ScenarioError("travel time diagonal must be zero")
@@ -274,8 +275,8 @@ def near_cells(
     cols = np.column_stack([table[:, depots[d].cell] for d in ids])
     winners = cols.argmin(axis=1)  # argmin takes first (= lowest id) on ties
     out: dict[int, set[int]] = {d: set() for d in ids}
-    for c, w in enumerate(winners):
-        out[ids[int(w)]].add(c)
+    for c, w in enumerate(winners.tolist()):
+        out[ids[w]].add(c)
     return out
 
 
@@ -288,7 +289,7 @@ def nearby_rates(
 ) -> dict[int, float]:
     """Per-depot summed incident rate over the cells nearest that depot."""
     parts = near_cells(depot_ids, depots, travel, t)
-    rate_vec = rates.rates_at(t)
+    rate_vec = rates.rates_at(t).tolist()
     return {d: float(sum(rate_vec[c] for c in cells)) for d, cells in parts.items()}
 
 
@@ -419,8 +420,7 @@ def euclidean_travel_model(
 ) -> TravelModel:
     """Synthetic travel tables from centroid distance / per-bucket speeds."""
     xy = grid.centroids()
-    diff = xy[:, None, :] - xy[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
+    dist = np.sqrt(((xy[:, None, :] - xy[None, :, :]) ** 2).sum(axis=2))
     mats = np.empty((len(speed_multipliers), *dist.shape))
     for b, m in enumerate(speed_multipliers):
         speed = base_speed_mph * m

@@ -460,6 +460,9 @@ def load_checkpoint(path) -> dict:
         if "params" not in data.files:
             raise ValueError(f"checkpoint {path} has no params member")
         flat = data["params"]
+    if flat.dtype != np.float64:
+        raise ValueError(f"checkpoint {path} holds parameters of dtype {flat.dtype}, "
+                         f"not float64")
     out = {name: _build(name, spec) for name, spec in meta["entries"].items()}
     arrays = [a for p in out.values() for a in p.arrays()]
     sizes = [a.size for a in arrays]

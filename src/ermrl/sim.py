@@ -5,6 +5,11 @@ nearest-available dispatch, FIFO waiting queue, fixed on-scene service,
 transport to the nearest hospital, and return to the assigned depot. Planner
 hooks run on decision events, move responders through the apply methods and
 share eta_to_cell, the one rule for when a responder can be at a cell.
+
+sample_incidents is the one incident sampler, behind every chain and every
+search future. Per window ending at a rate-bucket boundary it makes one vector
+Poisson draw of the counts over the requested cells, then one uniform draw of
+the window's times, grouped cell by cell in the requested cells' order.
 """
 
 from __future__ import annotations
@@ -115,22 +120,24 @@ class IncidentChain:
 
 def sample_incidents(rates: RateModel, cells: np.ndarray, t0: float, t_end: float,
                      rng: np.random.Generator) -> list[tuple[float, int]]:
-    """Time-sorted (t, cell) incidents on `cells` in [t0, t_end): per window
-    ending at a rate-bucket boundary, one Poisson count per cell, then uniform
-    times inside the window for each cell with a nonzero count."""
-    events: list[tuple[float, int]] = []
+    """Time-sorted (t, cell) incidents on `cells` in [t0, t_end).
+
+    Draw order, per window ending at a rate-bucket boundary: one vector Poisson
+    draw of the counts over `cells`, then one uniform draw of all the window's
+    times, grouped cell by cell in `cells` order (counts[0] times for cells[0],
+    then counts[1] for cells[1], ...)."""
+    times: list[float] = []
+    labels: list[int] = []
     dur = rates.bucket_duration_s
     start = t0
     while start < t_end:
         end = min(math.floor(start / dur + 1) * dur, t_end)
         expected = rates.rates_at(start)[cells] * (end - start) / 3600.0  # rates per hour
         counts = rng.poisson(expected)
-        for j in np.flatnonzero(counts):
-            ts = rng.uniform(start, end, size=int(counts[j]))
-            events.extend((float(t), int(cells[j])) for t in ts)
+        times += rng.uniform(start, end, size=int(counts.sum())).tolist()
+        labels += np.repeat(cells, counts).tolist()
         start = end
-    events.sort()
-    return events
+    return sorted(zip(times, labels))
 
 
 def sample_chain(rates: RateModel, horizon_s: float, seed: int) -> IncidentChain:

@@ -223,6 +223,12 @@ def _drop_entry_key(path, key):
              params=flat)
 
 
+def _recast_params(path, dtype):
+    with np.load(path) as data:
+        meta, flat = data["__meta__"], data["params"]
+    np.savez(path, __meta__=meta, params=flat.astype(dtype))
+
+
 def _drop_network(path, name):
     nets = nn.load_checkpoint(path)
     del nets[name]
@@ -230,13 +236,14 @@ def _drop_network(path, name):
 
 
 # one case per kind: an npz member, a meta key, an entry key, one of an
-# agent's networks; test_nn and test_harness cover the others
+# agent's networks, the vector's dtype; test_nn and test_harness cover the others
 @pytest.mark.parametrize("corrupt, message", [
     (functools.partial(_drop_member, member="params"), "no params member"),
     (functools.partial(_drop_meta_key, key="version"), "no version in its __meta__"),
     (functools.partial(_drop_entry_key, key="kind"), "llp0_actor has no kind"),
     (functools.partial(_drop_network, name="llp0_critic_target"), "llp0_critic_target"),
-], ids=["no_params", "no_version", "no_kind", "no_critic_target"])
+    (functools.partial(_recast_params, dtype=np.float32), "dtype float32, not float64"),
+], ids=["no_params", "no_version", "no_kind", "no_critic_target", "float32"])
 def test_malformed_checkpoint_is_a_config_error(tmp_path, capsys, corrupt, message):
     scenario = tiny_scenario(tmp_path)
     ckpt = tmp_path / "ckpt"

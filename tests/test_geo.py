@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -62,6 +63,23 @@ class TestTravelTime:
     def test_nonweekly_cycle_rejected(self):
         with pytest.raises(geo.ScenarioError):
             geo.TravelModel(5000, np.zeros((3, 2, 2)))
+
+    @pytest.mark.parametrize("value, message", [
+        (np.nan, "finite and nonnegative"), (np.inf, "finite and nonnegative"),
+        (-np.inf, "finite and nonnegative"), (-1.0, "finite and nonnegative"),
+        ("diagonal", "diagonal must be zero")])
+    def test_bad_entry_rejected(self, value, message):
+        m = np.full((2, 3, 3), 60.0)
+        m[:, np.arange(3), np.arange(3)] = 0.0
+        if value == "diagonal":
+            m[1, 2, 2] = 5.0
+        else:
+            m[1, 0, 2] = value
+        with pytest.raises(geo.ScenarioError, match=message):
+            manual_travel(m)
+
+    def test_empty_table_accepted(self):
+        assert manual_travel(np.zeros((1, 0, 0))).n_cells == 0
 
     @pytest.mark.parametrize("city", [
         {},
@@ -159,6 +177,45 @@ class TestNearbyRates:
         lam = geo.nearby_rates([0, 1], depots, tm, rm, 0.0)
         assert lam[0] == 0.0
         assert lam[1] == pytest.approx(1.0)
+
+
+def frozen_near_cells(depot_ids, depots, travel, t):
+    """near_cells as it was, iterating numpy scalars."""
+    ids = sorted(depot_ids)
+    table = travel.matrices[travel.bucket_index(t)]
+    cols = np.column_stack([table[:, depots[d].cell] for d in ids])
+    winners = cols.argmin(axis=1)
+    out = {d: set() for d in ids}
+    for c, w in enumerate(winners):
+        out[ids[int(w)]].add(c)
+    return out
+
+
+def frozen_nearby_rates(depot_ids, depots, travel, rates, t):
+    """nearby_rates as it was, summing numpy scalars."""
+    parts = frozen_near_cells(depot_ids, depots, travel, t)
+    rate_vec = rates.rates_at(t)
+    return {d: float(sum(rate_vec[c] for c in cells)) for d, cells in parts.items()}
+
+
+@pytest.mark.parametrize("name", ["default", "metro"])
+def test_projection_matches_the_scalar_loops_on_bench_cities(name):
+    """Same sets in the same order, and the same bits in every sum and in
+    rate_scale, at every (travel bucket, rate bucket) boundary."""
+    world = bench_city(name)
+    travel, rates = world.travel, world.rates
+    period = math.lcm(travel.period_s, rates.period_s)
+    times = sorted(set(range(0, period, travel.bucket_duration_s))
+                   | set(range(0, period, rates.bucket_duration_s)))
+    best = 0.0
+    for t in times:
+        args = (world.depot_ids, world.depots, travel)
+        parts, want = geo.near_cells(*args, t), frozen_near_cells(*args, t)
+        assert [list(parts[d]) for d in parts] == [list(want[d]) for d in want]
+        lam, ref = geo.nearby_rates(*args, rates, t), frozen_nearby_rates(*args, rates, t)
+        assert [(d, v.hex()) for d, v in lam.items()] == [(d, v.hex()) for d, v in ref.items()]
+        best = max(best, *ref.values())
+    assert world.rate_scale.hex() == best.hex()
 
 
 def lcm_cycle_world(travel_bucket_s, travel_tables, rate_bucket_s, rate_rows, depot_cells,

@@ -427,6 +427,18 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="parameters"):
             nn.load_checkpoint(path)
 
+    @pytest.mark.parametrize("dtype, name", [(np.float32, "float32"), (str, "<U")])
+    def test_vector_of_another_dtype_rejected(self, tmp_path, dtype, name):
+        """A float32 vector would load rounded and a str vector would be
+        parsed; neither is the float64 vector save_checkpoint writes."""
+        path = tmp_path / "ckpt.npz"
+        nn.save_checkpoint(path, self.nets())
+        with np.load(path) as data:
+            meta, flat = data["__meta__"], data["params"]
+        np.savez(path, __meta__=meta, params=flat.astype(dtype))
+        with pytest.raises(ValueError, match=f"dtype {name}.*, not float64"):
+            nn.load_checkpoint(path)
+
 
 class TestBatchAxis:
     """A (B, n, k) batch gives, bit for bit, the outputs, input gradients and

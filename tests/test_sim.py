@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import bench_city, chain_of, make_world, two_region_world, uniform_table
@@ -52,7 +54,78 @@ def frozen_sample_chain(rates, horizon_s, seed):
     return sim.IncidentChain(tuple(events), horizon_s, seed)
 
 
+def frozen_sample_incidents(rates, cells, t0, t_end, rng):
+    """sample_incidents as it was with one uniform draw per cell with a
+    nonzero count: the reference the one-draw-per-window sampler must
+    reproduce, in its events and in the generator state it leaves."""
+    events = []
+    dur = rates.bucket_duration_s
+    start = t0
+    while start < t_end:
+        end = min(math.floor(start / dur + 1) * dur, t_end)
+        expected = rates.rates_at(start)[cells] * (end - start) / 3600.0
+        counts = rng.poisson(expected)
+        for j in np.flatnonzero(counts):
+            ts = rng.uniform(start, end, size=int(counts[j]))
+            events.extend((float(t), int(cells[j])) for t in ts)
+        start = end
+    events.sort()
+    return events
+
+
+def assert_matches_frozen_sampler(rates, cells, t0, t_end, rng, frozen_rng):
+    events = sim.sample_incidents(rates, cells, t0, t_end, rng)
+    assert events == frozen_sample_incidents(rates, cells, t0, t_end, frozen_rng)
+    assert all(type(t) is float and type(c) is int for t, c in events)
+    assert rng.bit_generator.state == frozen_rng.bit_generator.state
+    return events
+
+
+# (bucket length, buckets per cycle): each cycle divides one week
+RATE_CYCLES = [(900, 96), (3600, 24), (3600, 168), (7200, 12), (21600, 4)]
+
+
 class TestSampleIncidents:
+    @pytest.mark.parametrize("start", ["zero", "mid_bucket", "before_boundary"])
+    @pytest.mark.parametrize("horizon_s", [0.5, 700.0, 6 * 3600.0, 3.5 * 86400.0])
+    def test_matches_the_per_cell_sampler(self, start, horizon_s):
+        n_events = 0
+        for case in range(40):
+            rng = np.random.default_rng([case, int(horizon_s * 2)])
+            bucket_s, n_buckets = RATE_CYCLES[case % len(RATE_CYCLES)]
+            n_all = int(rng.integers(1, 41))
+            rates = rng.uniform(0.0, 20.0, (n_buckets, n_all))
+            rates[:, rng.random(n_all) < 0.25] = 0.0       # cells never busy
+            rates[rng.random(n_buckets) < 0.25] = 0.0      # buckets never busy
+            # any subset of the cells, in any order
+            cells = rng.permutation(n_all)[:rng.integers(1, n_all + 1)]
+            bucket = int(rng.integers(0, 2 * n_buckets)) * bucket_s
+            t0 = {"zero": 0.0, "mid_bucket": bucket + bucket_s / 2,
+                  "before_boundary": bucket + bucket_s - 0.25}[start]
+            events = assert_matches_frozen_sampler(
+                geo.RateModel(bucket_s, rates), cells, t0, t0 + horizon_s,
+                np.random.default_rng(case), np.random.default_rng(case))
+            n_events += len(events)
+        if horizon_s > 1.0:
+            assert n_events > 0
+
+    @pytest.mark.parametrize("name", ["default", "metro"])
+    def test_matches_the_per_cell_sampler_on_bench_regions(self, name):
+        """Each region's search futures, drawn as city-mcts draws them: the
+        region's cells in id order over a 6 h horizon, four futures in a row
+        from one generator."""
+        world = bench_city(name)
+        dur = world.rates.bucket_duration_s
+        n_events = 0
+        for g in world.seg.region_ids:
+            cells = np.array(sorted(world.seg.region_cells[g]))
+            for t0 in (0.0, 5 * dur + dur / 2, 30 * dur - 0.25):
+                rng, frozen_rng = np.random.default_rng(g), np.random.default_rng(g)
+                for _ in range(4):
+                    n_events += len(assert_matches_frozen_sampler(
+                        world.rates, cells, t0, t0 + 6 * 3600.0, rng, frozen_rng))
+        assert n_events > 0
+
     @pytest.mark.parametrize("bucket_s, n_buckets", [(3600, 24), (7200, 12), (21600, 4)])
     @pytest.mark.parametrize("horizon_s", [3600.0, 5000.0, 2 * 86400.0,
                                            8 * 86400.0 + 1234.5])
