@@ -1,10 +1,11 @@
 """Combinatorial discretization of continuous actions.
 
 Maps actor outputs to feasible allocations: max-weight matching for
-within-region depot assignment, greedy remainder-and-cap redistribution for
-region counts, and one assignment solve for moving responders between
+within-region depot assignment, capped Sainte-Laguë (Webster) apportionment
+for region counts, and one assignment solve for moving responders between
 regions. Both assignments are one solve of one deterministic Hungarian solver;
-only redistribution breaks ties by lowest id. All solvers are pure functions.
+only apportionment breaks ties, by lowest region index. All solvers are pure
+functions.
 """
 
 from __future__ import annotations
@@ -95,14 +96,16 @@ def normalize_hlp(a_h: np.ndarray) -> np.ndarray:
 
 
 def greedy_redistribute(proportions: np.ndarray, n_responders: int, caps: list[int]) -> np.ndarray:
-    """Integer region counts from target proportions, capped by depot counts.
+    """Integer region counts from target proportions within depot counts:
+    capped Sainte-Laguë (Webster), house-monotone.
 
-    Iteratively floors the proportional shares, hands out the remainder one by
-    one to the region with the largest shortfall against its expected share
-    (ties to the lowest region index), then fixes any region exceeding its cap
-    at the cap and reruns on the remaining responders and regions. The loops
-    run over Python floats and ints, which is cheaper than numpy element access
-    on a few regions; each share's denominator stays numpy's sum.
+    Responders are handed out one at a time, each to the region below its cap
+    with the largest p[g] / (counts[g] + 0.5); ties go to the lowest region
+    index, so zero-proportion regions fill, lowest first, only once every
+    region of positive proportion is at its cap. One more responder never
+    takes one from a region (Balinski & Young, Fair Representation, 1982).
+    The loop runs over Python floats and ints, which is cheaper than numpy
+    element access on a few regions.
     """
     p = np.asarray(proportions, dtype=float)
     pl = p.tolist()
@@ -114,27 +117,11 @@ def greedy_redistribute(proportions: np.ndarray, n_responders: int, caps: list[i
     if n_responders > sum(caps):
         raise InfeasibleError(f"{n_responders} responders exceed total capacity {sum(caps)}")
     counts = [0] * len(pl)
-    active = list(range(len(pl)))
-    v_avail = int(n_responders)
-    for _ in range(len(pl) + 1):
-        s = float(p[active].sum())
-        for g in active:
-            counts[g] = math.floor(pl[g] / s * v_avail) if s > 0 else 0
-        for _ in range(v_avail - sum(counts[g] for g in active)):
-            # max keeps the first of equal shortfalls: ties to the lowest index
-            counts[max(active, key=lambda g: pl[g] * v_avail - counts[g])] += 1
-        keep = [g for g in active if counts[g] <= caps[g]]
-        if len(keep) == len(active):
-            break
-        for g in active:
-            if counts[g] > caps[g]:
-                counts[g] = caps[g]
-                v_avail -= caps[g]
-        active = keep
-    else:
-        raise RuntimeError("redistribution failed to terminate")
-    if sum(counts) != n_responders:
-        raise RuntimeError("redistribution lost or invented responders")
+    for _ in range(n_responders):
+        # max keeps the first of equal priorities: ties to the lowest index
+        best = max((g for g in range(len(pl)) if counts[g] < caps[g]),
+                   key=lambda g: pl[g] / (counts[g] + 0.5))
+        counts[best] += 1
     return np.array(counts, dtype=int)
 
 

@@ -426,7 +426,8 @@ class Simulator:
 
 def region_shares(world: ScenarioWorld, n_responders: int, t: float = 0.0) -> dict[int, int]:
     """{region: responders}: a fleet of n_responders split over the regions in
-    proportion to their rates at t, capped by their depots."""
+    proportion to their rates at t within their depot counts, by capped
+    Sainte-Laguë (Webster), house-monotone (optim.greedy_redistribute)."""
     from .optim import greedy_redistribute
 
     caps = world.region_caps()

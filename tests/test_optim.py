@@ -138,70 +138,48 @@ class TestNormalizeHlp:
             optim.normalize_hlp(np.array([bad, 1.0]))
 
 
-def reference_greedy_redistribute(proportions, n_responders, caps):
-    """The numpy-indexed redistribution, kept frozen as a bit-level reference."""
-    p = np.asarray(proportions, dtype=float)
-    caps_arr = np.asarray(caps, dtype=int)
-    if abs(p.sum() - 1.0) > 1e-6 or np.any(p < 0):
-        raise ValueError("proportions must be nonnegative and sum to 1")
-    if n_responders > caps_arr.sum():
-        raise optim.InfeasibleError(f"{n_responders} responders exceed total capacity")
-    n_regions = len(p)
-    counts = np.zeros(n_regions, dtype=int)
-    active = np.ones(n_regions, dtype=bool)
-    v_avail = int(n_responders)
-    for _ in range(n_regions + 1):
-        s = float(p[active].sum())
-        for g in np.flatnonzero(active):
-            share = p[g] / s if s > 0 else 0.0
-            counts[g] = int(math.floor(share * v_avail))
-        v_remain = v_avail - int(counts[active].sum())
-        while v_remain > 0:
-            shortfall = np.where(active, p * v_avail - counts, -np.inf)
-            g = int(np.argmax(shortfall))
-            counts[g] += 1
-            v_remain -= 1
-        removed = False
-        for g in np.flatnonzero(active):
-            if counts[g] > caps_arr[g]:
-                counts[g] = int(caps_arr[g])
-                active[g] = False
-                v_avail -= int(caps_arr[g])
-                removed = True
-        if not removed:
-            break
-    else:
-        raise RuntimeError("redistribution failed to terminate")
-    return counts
-
-
-def algorithm_trace_oracle(p, n_responders, caps):
-    """Straight-line reimplementation of the redistribution procedure (dicts, no numpy)."""
+def webster_oracle(p, n_responders, caps):
+    """Straight-line capped Sainte-Laguë apportionment (dicts, no numpy): each
+    responder to the open region of largest p / (count + 0.5), ties to the
+    lowest index."""
     regions = list(range(len(p)))
     counts = {g: 0 for g in regions}
-    active = set(regions)
-    v_avail = n_responders
-    while sum(counts[g] for g in active) < v_avail:
-        s = sum(p[g] for g in active)
-        for g in sorted(active):
-            counts[g] = int((p[g] / s if s > 0 else 0.0) * v_avail)
-        v_remain = v_avail - sum(counts[g] for g in active)
-        while v_remain > 0:
-            best_g, best_v = None, None
-            for g in sorted(active):
-                val = p[g] * v_avail - counts[g]
+    for _ in range(n_responders):
+        best_g, best_v = None, None
+        for g in regions:
+            if counts[g] < caps[g]:
+                val = p[g] / (counts[g] + 0.5)
                 if best_v is None or val > best_v:
                     best_g, best_v = g, val
-            counts[best_g] += 1
-            v_remain -= 1
-        for g in sorted(active):
-            if counts[g] > caps[g]:
-                counts[g] = caps[g]
-                active.discard(g)
-                v_avail -= caps[g]
-        if not active:
-            break
+        counts[best_g] += 1
     return [counts[g] for g in regions]
+
+
+def meets_divisor_inequality(p, counts, caps):
+    """max over open g of p[g]/(c[g]+0.5) <= min over filled h of p[h]/(c[h]-0.5)."""
+    top = max((p[g] / (c + 0.5) for g, c in enumerate(counts) if c < caps[g]), default=-math.inf)
+    low = min((p[h] / (c - 0.5) for h, c in enumerate(counts) if c > 0), default=math.inf)
+    return top <= low
+
+
+def capped_allocations(n_responders, caps):
+    """Every vector of counts within caps that sums to n_responders."""
+    for counts in itertools.product(*(range(c + 1) for c in caps)):
+        if sum(counts) == n_responders:
+            yield list(counts)
+
+
+def random_split(rng, r, kind):
+    """Proportions over r regions: continuous (uniform draws), quantized (many
+    equal shares and exact zeros) or Dirichlet."""
+    if kind == "continuous":
+        raw = rng.uniform(0, 1, size=r)
+    elif kind == "quantized":
+        raw = rng.integers(0, 4, size=r).astype(float)
+        raw[int(rng.integers(r))] += 1.0
+    else:
+        return rng.dirichlet(np.full(r, float(rng.choice([0.2, 1.0, 5.0]))))
+    return raw / raw.sum()
 
 
 class TestGreedyRedistribute:
@@ -228,7 +206,7 @@ class TestGreedyRedistribute:
             caps = [int(c) for c in rng.integers(1, 8, size=r)]
             v = int(rng.integers(0, sum(caps) + 1))
             got = optim.greedy_redistribute(p, v, caps)
-            assert list(got) == algorithm_trace_oracle(p, v, caps)
+            assert list(got) == webster_oracle(p.tolist(), v, caps)
 
     def test_fuzz_sum_and_caps(self):
         rng = np.random.default_rng(123)
@@ -257,26 +235,47 @@ class TestGreedyRedistribute:
             optim.greedy_redistribute(np.array([0.5, 0.5]), -1, [10, 10])
 
     @pytest.mark.parametrize("kind", ["uniform", "quantized", "dirichlet"])
-    def test_matches_frozen_reference_bit_for_bit(self, kind):
-        # numpy sums 8 or more shares in another order than Python's sum, so
-        # regions past 8 catch a denominator summed the other way
+    def test_matches_webster_oracle_at_every_fleet(self, kind):
         rng = np.random.default_rng({"uniform": 0, "quantized": 1, "dirichlet": 2}[kind])
         for r in range(1, 13):
             for _ in range(25):
-                if kind == "uniform":
-                    p = np.full(r, 1.0 / r)
-                elif kind == "quantized":  # many equal shares and exact zeros
-                    raw = rng.integers(0, 4, size=r).astype(float)
-                    raw[int(rng.integers(r))] += 1.0
-                    p = raw / raw.sum()
-                else:
-                    p = rng.dirichlet(np.full(r, float(rng.choice([0.2, 1.0, 5.0]))))
+                p = np.full(r, 1.0 / r) if kind == "uniform" else random_split(rng, r, kind)
                 caps = [int(c) for c in rng.integers(0, 10, size=r)]
                 for v in range(sum(caps) + 1):
                     got = optim.greedy_redistribute(p, v, caps)
-                    want = reference_greedy_redistribute(p, v, caps)
-                    assert got.dtype == want.dtype
-                    assert np.array_equal(got, want), (p.tolist(), v, caps)
+                    assert got.dtype == int
+                    assert got.tolist() == webster_oracle(p.tolist(), v, caps), (p.tolist(), v, caps)
+                    assert meets_divisor_inequality(p.tolist(), got.tolist(), caps)
+
+    @pytest.mark.parametrize("kind", ["continuous", "quantized"])
+    def test_only_allocation_meeting_the_divisor_inequality(self, kind):
+        # on continuous proportions no two priorities tie, so exactly one
+        # capped allocation meets the inequality; with ties the output is one of them
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            r = int(rng.integers(1, 5))
+            p = random_split(rng, r, kind).tolist()
+            caps = [int(c) for c in rng.integers(0, 5, size=r)]
+            for v in range(min(sum(caps), 8) + 1):
+                got = optim.greedy_redistribute(np.array(p), v, caps).tolist()
+                meeting = [c for c in capped_allocations(v, caps)
+                           if meets_divisor_inequality(p, c, caps)]
+                if kind == "continuous":
+                    assert meeting == [got], (p, v, caps)
+                else:
+                    assert got in meeting, (p, v, caps)
+
+    def test_monotone_in_the_fleet(self):
+        rng = np.random.default_rng(31)
+        for case in range(300):
+            r = int(rng.integers(1, 9))
+            p = random_split(rng, r, ["continuous", "quantized", "dirichlet"][case % 3])
+            caps = [int(c) for c in rng.integers(0, 10, size=r)]
+            prev = optim.greedy_redistribute(p, 0, caps)
+            for v in range(1, sum(caps) + 1):
+                out = optim.greedy_redistribute(p, v, caps)
+                assert np.all(out >= prev), (p.tolist(), v, caps)
+                prev = out
 
 
 def brute_force_moves(counts_prev, counts_new, resp_regions, resp_depots, region_depots, phi):

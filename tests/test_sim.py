@@ -448,6 +448,28 @@ class TestRegionShares:
                     counts[world.seg.depot_regions[depot]] += 1
                 assert sim.region_shares(world, n) == counts
 
+    @pytest.mark.parametrize("name", ["default", "metro"])
+    def test_monotone_in_the_fleet_in_every_bucket(self, name):
+        world = bench_city(name)
+        for b in range(world.rates.n_buckets):
+            t = b * world.rates.bucket_duration_s
+            prev = sim.region_shares(world, 1, t)
+            for n in range(2, len(world.depots) + 1):
+                shares = sim.region_shares(world, n, t)
+                assert all(shares[g] >= prev[g] for g in shares), (b, n, prev, shares)
+                prev = shares
+
+    @pytest.mark.parametrize("name", ["default", "metro"])
+    def test_training_fleets_center_on_the_default_share(self, name):
+        # the fleets agents.sample_fleet draws around the default, each equally likely
+        world = bench_city(name)
+        center = harness.resolve_fleet(world, None)
+        fleets = [max(1, min(center + k, len(world.depots))) for k in range(-3, 4)]
+        at_center = sim.region_shares(world, center)
+        for g in world.seg.region_ids:
+            median = float(np.median([sim.region_shares(world, n)[g] for n in fleets]))
+            assert median == at_center[g], (g, fleets)
+
     def test_shares_follow_the_rate_bucket(self):
         world = two_region_world(rates_by_bucket=[[1.0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1.0]])
         assert sim.region_shares(world, 2) == {0: 2, 1: 0}
