@@ -26,6 +26,11 @@ def arrival_times(responders: list[ResponderState], depot_ids: list[int], t: flo
     """(n responders, n depots) seconds until each responder could be waiting
     at each depot: one sim.eta_to_cell row per responder."""
     cells = np.array([world.depots[d].cell for d in depot_ids], dtype=int)
+    return _arrival_rows(responders, cells, t, world)
+
+
+def _arrival_rows(responders: list[ResponderState], cells: np.ndarray, t: float,
+                  world: ScenarioWorld) -> np.ndarray:
     rows = [eta_to_cell(resp, cells, t, world)[1] for resp in responders]
     return np.array(rows).reshape(len(responders), len(cells))
 
@@ -98,15 +103,13 @@ def region_observation(
     rng: np.random.Generator | None = None,
 ) -> RegionObservation:
     member_ids = sorted(rid for rid, r in responders.items() if r.region == region)
-    depot_ids = world.region_depots(region)
-    lam_all = world.nearby_rates_at(t)
-    lam = np.array([lam_all[d] for d in depot_ids]) / world.rate_scale
-    phi = arrival_times([responders[rid] for rid in member_ids], depot_ids, t,
-                        world) / TIME_SCALE_S
+    lam = world.scaled_nearby_rates(region, t)
+    phi = _arrival_rows([responders[rid] for rid in member_ids],
+                        world.region_depot_cells(region), t, world) / TIME_SCALE_S
     if noise is not None and rng is not None:
         phi = apply_observation_noise(phi, noise.sigma_time, rng)
         lam = apply_observation_noise(lam, noise.sigma_rate, rng)
-    return RegionObservation(region, member_ids, depot_ids, phi, lam)
+    return RegionObservation(region, member_ids, world.region_depots(region), phi, lam)
 
 
 def critic_features(phi: np.ndarray, lam: np.ndarray, likelihoods: np.ndarray) -> np.ndarray:

@@ -1,13 +1,14 @@
 """Geography, travel model, incident-rate model, and region segmentation.
 
 Everything here is immutable after construction and safe to share between
-threads; ScenarioWorld fills its nearby-rate, region-rate and nearest-hospital
-tables on first use, with values that never change. Times are seconds, rates
-are incidents per hour, distances miles.
+threads; ScenarioWorld fills its nearby-rate, region-rate, nearest-hospital
+and per-region tables on first use, with values that never change. Times are
+seconds, rates are incidents per hour, distances miles.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass, field
@@ -110,16 +111,12 @@ class TravelModel:
     def bucket_index(self, t: float) -> int:
         return int((t % self.period_s) // self.bucket_duration_s)
 
-    def times_from(self, from_cell: int, to_cells, t: float):
-        """Unchecked: seconds from from_cell to one cell id or an id array at t."""
-        return self.matrices[self.bucket_index(t), from_cell, to_cells]
-
     def travel_time(self, from_cell: int, to_cell: int, t: float) -> float:
         if not (0 <= from_cell < self.n_cells and 0 <= to_cell < self.n_cells):
             raise ScenarioError(f"unknown cell id in travel lookup: {from_cell}, {to_cell}")
         if t < 0:
             raise ScenarioError("travel lookup requires t >= 0")
-        return float(self.times_from(from_cell, to_cell, t))
+        return float(self.matrices[self.bucket_index(t), from_cell, to_cell])
 
 
 class RateModel:
@@ -322,6 +319,10 @@ class ScenarioWorld:
     _region_rates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # travel bucket -> nearest hospital per cell (ids, cells, times), filled on first use
     _hospital_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # region id -> read-only depot cells; (travel bucket, rate bucket, region id) ->
+    # read-only scaled nearby rates; both filled on first use, keyed by region only
+    _depot_cells: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _scaled_rates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.hospitals:
@@ -374,6 +375,29 @@ class ScenarioWorld:
             lam = nearby_rates(self.depot_ids, self.depots, self.travel, self.rates, t)
             self._nearby[key] = lam
         return MappingProxyType(lam)
+
+    def region_depot_cells(self, region_id: int) -> np.ndarray:
+        """Read-only cells of the region's depots, in depot id order."""
+        cells = self._depot_cells.get(region_id)
+        if cells is None:
+            cells = np.array([self.depots[d].cell for d in self.region_depots(region_id)],
+                             dtype=int)
+            cells.setflags(write=False)
+            self._depot_cells[region_id] = cells
+        return cells
+
+    def scaled_nearby_rates(self, region_id: int, t: float) -> np.ndarray:
+        """Read-only nearby rates of the region's depots at t, in depot id
+        order, divided by rate_scale: one array per (travel bucket, rate
+        bucket) pair and region."""
+        key = (self.travel.bucket_index(t), self.rates.bucket_index(t), region_id)
+        lam = self._scaled_rates.get(key)
+        if lam is None:
+            lam_all = self.nearby_rates_at(t)
+            lam = np.array([lam_all[d] for d in self.region_depots(region_id)]) / self.rate_scale
+            lam.setflags(write=False)
+            self._scaled_rates[key] = lam
+        return lam
 
     def hospital_table(self, b: int) -> tuple[list[int], list[int], list[float]]:
         """Per cell, in travel bucket b: the id and cell of the hospital reached
@@ -435,11 +459,36 @@ def euclidean_travel_model(
 #
 # One document: grid, depots, hospitals, travel buckets (or generator params),
 # rate buckets, and either an explicit segmentation or {k, seed}. Times in
-# seconds, rates in incidents/hour.
+# seconds, rates in incidents/hour. Version 2 stores the travel tables as the
+# base64 of their little-endian float64 bytes; version 1 stored nested lists,
+# which still load.
+
+def _encode_f8(a: np.ndarray) -> dict:
+    return {"dtype": "<f8", "shape": list(a.shape),
+            "base64": base64.b64encode(np.ascontiguousarray(a, "<f8").tobytes()).decode("ascii")}
+
+
+def _decode_f8(doc: dict) -> np.ndarray:
+    """The read-only array _encode_f8 wrote; another dtype, a bad shape or a
+    byte count that does not fit the shape is a ScenarioError."""
+    if doc["dtype"] != "<f8":
+        raise ScenarioError(f"travel tables must be '<f8', not {doc['dtype']!r}")
+    shape = doc["shape"]
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise ScenarioError(f"travel table shape must be a list of sizes, not {shape!r}")
+    try:
+        raw = base64.b64decode(doc["base64"], validate=True)
+    except (TypeError, ValueError) as e:  # binascii.Error is a ValueError
+        raise ScenarioError(f"travel tables are not valid base64: {e}") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise ScenarioError(f"travel tables hold {len(raw)} bytes; shape {shape} needs "
+                            f"{8 * math.prod(shape)}")
+    return np.frombuffer(raw, "<f8").reshape(shape)
+
 
 def world_to_json(world: ScenarioWorld) -> dict:
     return {
-        "version": 1,
+        "version": 2,
         "grid": {
             "cell_size_miles": world.grid.cell_size_miles,
             "bbox": list(world.grid.bbox),
@@ -449,7 +498,7 @@ def world_to_json(world: ScenarioWorld) -> dict:
         "hospitals": [{"id": h.id, "cell": h.cell} for h in world.hospitals.values()],
         "travel": {
             "bucket_duration_s": world.travel.bucket_duration_s,
-            "matrices": world.travel.matrices.tolist(),
+            "matrices": _encode_f8(world.travel.matrices),
         },
         "rates": {
             "bucket_duration_s": world.rates.bucket_duration_s,
@@ -482,8 +531,9 @@ def world_from_json(doc: dict) -> ScenarioWorld:
         for kind, built in (("depot", depots), ("hospital", hospitals)):
             if len(built) != len(doc[f"{kind}s"]):
                 raise ScenarioError(f"a {kind} id is listed twice")
+        mats = doc["travel"]["matrices"]
         travel = TravelModel(doc["travel"]["bucket_duration_s"],
-                             np.array(doc["travel"]["matrices"]))
+                             _decode_f8(mats) if isinstance(mats, dict) else np.array(mats))
         rates = RateModel(doc["rates"]["bucket_duration_s"],
                           np.array(doc["rates"]["cell_rates_per_hour"]))
         _check_table_cells(grid, travel, rates)  # segmenting reads the rate table

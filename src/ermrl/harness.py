@@ -465,12 +465,25 @@ def eval_chain(spec: ExperimentSpec, world: ScenarioWorld, agents, chain_seed: i
     return run_region_episode(world, region, controller, chain_seed, spec.horizon_s, fleet)
 
 
+_worker_eval_args: tuple = ()  # (spec, world, agents), set once in each pool worker
+
+
+def _init_eval_worker(spec: ExperimentSpec, world: ScenarioWorld, agents) -> None:
+    global _worker_eval_args
+    _worker_eval_args = (spec, world, agents)
+
+
+def _eval_in_worker(chain_seed: int) -> EpisodeResult:
+    return eval_chain(*_worker_eval_args, chain_seed)
+
+
 def evaluate_spec(spec: ExperimentSpec, world: ScenarioWorld,
                   checkpoint_dir=None, workers: int = 1) -> list[EpisodeResult]:
     """One EpisodeResult and one episode log per eval chain, in eval-seed
     order. A trained planner's checkpoint is loaded once, after a check
     against the training chains its manifest records: a shared chain is a
-    ValueError."""
+    ValueError. With workers > 1 each pool worker receives the spec, world
+    and agents once, at start-up, and is then sent only chain seeds."""
     agents = None
     if spec.planner == "drl":
         trained = set(_read_manifest(checkpoint_dir).get("train_seeds", ()))
@@ -479,13 +492,12 @@ def evaluate_spec(spec: ExperimentSpec, world: ScenarioWorld,
             raise ValueError(f"eval chains {shared} are among the checkpoint's "
                              f"training chains")
         agents = load_agents(checkpoint_dir, world)
-    args = [(spec, world, agents, s) for s in spec.eval_seeds]
     if workers > 1:
         import multiprocessing as mp
-        with mp.Pool(workers) as pool:
-            results = pool.starmap(eval_chain, args)
+        with mp.Pool(workers, _init_eval_worker, (spec, world, agents)) as pool:
+            results = pool.map(_eval_in_worker, spec.eval_seeds)
     else:
-        results = [eval_chain(*a) for a in args]
+        results = [eval_chain(spec, world, agents, s) for s in spec.eval_seeds]
     log_dir = Path(spec.out_dir) / "episodes"
     log_dir.mkdir(parents=True, exist_ok=True)
     for result in results:

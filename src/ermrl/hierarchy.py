@@ -131,7 +131,7 @@ class HierarchyController:
     # -- invocation helpers --
 
     def _invoke_llp(self, sim: Simulator, region: int):
-        if not sim.region_responders(region):
+        if not any(r.region == region for r in sim.responders.values()):
             return
         t0 = time.perf_counter()
         assignment = self.region_planner.plan_region(sim, region, self.rng)

@@ -60,19 +60,19 @@ def eta_to_cell(resp: ResponderState, target, t: float, world: ScenarioWorld):
     second half it counts as committed to the destination and pays the
     residual ride plus the onward travel time evaluated at its arrival instant.
     """
-    times, track = world.travel.times_from, resp.track
+    mats, bucket, track = world.travel.matrices, world.travel.bucket_index, resp.track
     if resp.t_avail is not None:
         cell = world.hospitals[resp.hospital].cell
-        eta = (resp.t_avail - t) + times(cell, target, resp.t_avail)
-    elif t <= track.depart_t or track.stationary:
-        cell, eta = track.origin, times(track.origin, target, t)
+        eta = (resp.t_avail - t) + mats[bucket(resp.t_avail), cell, target]
+    elif t <= track.depart_t or track.origin == track.destination:
+        cell, eta = track.origin, mats[bucket(t), track.origin, target]
     elif t >= track.arrive_t:
-        cell, eta = track.destination, times(track.destination, target, t)
+        cell, eta = track.destination, mats[bucket(t), track.destination, target]
     elif (elapsed := t - track.depart_t) < (track.arrive_t - track.depart_t) / 2:
-        cell, eta = track.origin, np.maximum(times(track.origin, target, t) - elapsed, 0.0)
+        cell, eta = track.origin, np.maximum(mats[bucket(t), track.origin, target] - elapsed, 0.0)
     else:
         cell = track.destination
-        eta = (track.arrive_t - t) + times(cell, target, track.arrive_t)
+        eta = (track.arrive_t - t) + mats[bucket(track.arrive_t), cell, target]
     return cell, (eta if isinstance(eta, np.ndarray) else float(eta))
 
 
@@ -316,19 +316,31 @@ class Simulator:
     # -- core operations --
 
     def dispatch(self, incident: Incident) -> int | None:
-        """Send the nearest available responder, else queue the incident FIFO."""
-        free = [rid for rid in sorted(self.responders) if self.responders[rid].available]
-        if not free:
+        """Send the nearest available responder, else queue the incident FIFO.
+
+        One pass in ascending id order (self.responders keeps its sorted
+        insertion order); a strict < keeps the lowest id on equal ETAs."""
+        best = None
+        cell, now, world = incident.cell, self.now, self.world
+        for rid, r in self.responders.items():
+            if r.incident is None:
+                start, eta = eta_to_cell(r, cell, now, world)
+                if best is None or eta < best_eta:
+                    best, best_start, best_eta = rid, start, eta
+        if best is None:
             self.queue.append(incident)
             return None
-        best = min(free, key=lambda rid: eta_to_cell(self.responders[rid], incident.cell,
-                                                      self.now, self.world)[1])
-        self._assign_to_incident(best, incident)
+        self._assign_to_incident(best, incident, best_start, best_eta)
         return best
 
-    def _assign_to_incident(self, rid: int, incident: Incident):
+    def _assign_to_incident(self, rid: int, incident: Incident,
+                            start_cell: int | None = None, eta: float | None = None):
+        """Send rid to the incident, then on to the hospital nearest the scene.
+        dispatch passes the start cell and ETA it found; the queue path
+        (release) leaves them to eta_to_cell here."""
         r = self.responders[rid]
-        start_cell, eta = eta_to_cell(r, incident.cell, self.now, self.world)
+        if eta is None:
+            start_cell, eta = eta_to_cell(r, incident.cell, self.now, self.world)
         scene_arrival = self.now + eta
         response = scene_arrival - incident.report_t
         if response < 0:
@@ -337,9 +349,9 @@ class Simulator:
         self._served += 1
         self.last_dispatch = DispatchRecord(self.now, incident.id, rid, r.region, response)
         depart_scene = scene_arrival + self.cfg.t_serve_s
-        hospital = self.world.nearest_hospital(incident.cell, depart_scene)
-        h_cell = self.world.hospitals[hospital].cell
-        t_avail = depart_scene + self.world.travel.travel_time(incident.cell, h_cell, depart_scene)
+        h_ids, _, h_times = self.world.hospital_table(self.world.travel.bucket_index(depart_scene))
+        hospital = h_ids[incident.cell]
+        t_avail = depart_scene + h_times[incident.cell]
         r.incident = incident.cell
         r.hospital = hospital
         r.t_avail = t_avail
@@ -407,12 +419,13 @@ class Simulator:
         return left | {self.responders[rid].region for rid in moves}
 
     def _check_capacity(self):
-        depots = [r.depot for r in self.responders.values()]
-        if len(set(depots)) != len(depots):
-            raise SimLogicError("two responders assigned to one depot")
+        held, depot_regions = set(), self.world.seg.depot_regions
         for r in self.responders.values():
-            if self.world.seg.depot_regions[r.depot] != r.region:
+            if r.depot in held:
+                raise SimLogicError("two responders assigned to one depot")
+            if depot_regions[r.depot] != r.region:
                 raise SimLogicError("responder depot outside its region")
+            held.add(r.depot)
 
     def region_counts(self) -> dict[int, int]:
         counts = {g: 0 for g in self.world.seg.region_ids}

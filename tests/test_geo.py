@@ -1,4 +1,6 @@
+import base64
 import itertools
+import json
 import math
 
 import numpy as np
@@ -287,6 +289,57 @@ class TestNearbyRateTable:
         assert world.nearby_rates_at(84 * 3600.0)[0] == 2.0
 
 
+def fresh_region_tables(world, g, t):
+    lam = geo.nearby_rates(world.depot_ids, world.depots, world.travel, world.rates, t)
+    return (np.array([world.depots[d].cell for d in world.region_depots(g)], dtype=int),
+            np.array([lam[d] for d in world.region_depots(g)]) / world.rate_scale)
+
+
+def assert_region_tables_fresh(world, times):
+    for t in times:
+        for g in world.seg.region_ids:
+            cells, lam = fresh_region_tables(world, g, t)
+            got_cells, got_lam = world.region_depot_cells(g), world.scaled_nearby_rates(g, t)
+            assert got_cells.dtype == cells.dtype and np.array_equal(got_cells, cells)
+            assert got_lam.dtype == lam.dtype and got_lam.tobytes() == lam.tobytes(), (t, g)
+
+
+class TestRegionTables:
+    @pytest.mark.parametrize("name", ["default", "metro"])
+    def test_equal_a_fresh_computation_at_every_bucket_pair(self, name):
+        world = bench_city(name)
+        travel, rates = world.travel, world.rates
+        period = math.lcm(travel.period_s, rates.period_s)
+        times = sorted(set(range(0, period, travel.bucket_duration_s))
+                       | set(range(0, period, rates.bucket_duration_s)))
+        pairs = {(travel.bucket_index(t), rates.bucket_index(t)) for t in times}
+        assert len(pairs) == travel.matrices.shape[0] == 24
+        # at each boundary, then just before the next one, then a cycle later
+        assert_region_tables_fresh(world, [s for t in times
+                                           for s in (t, t + 3599.5, t + period)])
+
+    def test_follow_both_buckets_where_their_cycles_interleave(self):
+        world = TestNearbyRateTable().random_world()
+        times = sorted(set(range(0, geo.WEEK_S, 12 * 3600)) | set(range(0, geo.WEEK_S, 8 * 3600)))
+        assert_region_tables_fresh(world, [s for t in times for s in (t, t + 3599.5)])
+        assert len(world._scaled_rates) == 21
+
+    def test_read_only_and_built_on_first_use(self):
+        world = geo.world_from_json(geo.world_to_json(bench_city("default")))
+        assert world._depot_cells == {} and world._scaled_rates == {}
+        g = world.seg.region_ids[-1]
+        cells, lam = world.region_depot_cells(g), world.scaled_nearby_rates(g, 7200.0)
+        assert world.region_depot_cells(g) is cells
+        assert world.scaled_nearby_rates(g, 7200.0 + 1800.0) is lam
+        assert list(world._depot_cells) == [g] and list(world._scaled_rates) == [(2, 0, g)]
+        with pytest.raises(ValueError):
+            cells[0] = 0
+        with pytest.raises(ValueError):
+            lam[0] = 0.0
+        with pytest.raises(ValueError):
+            lam *= 2.0
+
+
 def scan_nearest_hospital(world, cell, t):
     """The hospital rule as a scan: fastest by travel_time, ties to the lowest id."""
     best, best_t = None, None
@@ -434,6 +487,23 @@ class TestScenarioRoundTrip:
         assert loaded.rate_scale == world.rate_scale
         assert loaded.nearest_hospital(4, 0.0) == world.nearest_hospital(4, 0.0)
 
+    @pytest.mark.parametrize("name", ["default", "metro"])
+    def test_bench_city_round_trip_is_bit_identical(self, tmp_path, name):
+        world = bench_city(name)
+        path = tmp_path / "scenario.json"
+        geo.save_world(world, path)
+        doc = json.loads(path.read_text())
+        assert doc["version"] == 2 and doc["travel"]["matrices"]["dtype"] == "<f8"
+        assert_same_world(geo.load_world(path), world)
+
+    def test_a_version_1_document_loads_to_the_same_world(self, default_city_doc):
+        world = bench_city("default")
+        v1 = {**default_city_doc, "version": 1,
+              "travel": {**default_city_doc["travel"],
+                         "matrices": world.travel.matrices.tolist()}}
+        assert_same_world(geo.world_from_json(v1), world)
+        assert_same_world(geo.world_from_json(json.loads(json.dumps(v1))), world)
+
 
 @pytest.fixture(scope="module")
 def default_city_doc():
@@ -450,9 +520,37 @@ def widen_rates_and_segment(doc):
     return {**widen_rates(doc), "segmentation": {"k": 2, "seed": 0}}
 
 
+def with_travel(doc, mats):
+    """doc with its travel tables encoded as version 2 stores them."""
+    enc = {"dtype": "<f8", "shape": list(mats.shape),
+           "base64": base64.b64encode(mats.astype("<f8").tobytes()).decode("ascii")}
+    return {**doc, "travel": {**doc["travel"], "matrices": enc}}
+
+
+def decoded_travel(doc):
+    enc = doc["travel"]["matrices"]
+    return np.frombuffer(base64.b64decode(enc["base64"]), "<f8").reshape(enc["shape"])
+
+
 def shrink_travel(doc):
-    mats = [[row[:30] for row in m[:30]] for m in doc["travel"]["matrices"]]
-    return {**doc, "travel": {**doc["travel"], "matrices": mats}}
+    return with_travel(doc, decoded_travel(doc)[:, :30, :30])
+
+
+def edit_travel_encoding(**entries):
+    def edit(doc):
+        return {**doc, "travel": {**doc["travel"],
+                                  "matrices": {**doc["travel"]["matrices"], **entries}}}
+    return edit
+
+
+def assert_same_world(a, b):
+    assert (a.grid, a.depots, a.hospitals, a.seg) == (b.grid, b.depots, b.hospitals, b.seg)
+    assert a.rate_scale.hex() == b.rate_scale.hex()
+    for x, y in ((a.travel.matrices, b.travel.matrices), (a.rates.rates, b.rates.rates)):
+        assert x.dtype == y.dtype == np.float64 and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+    assert a.travel.bucket_duration_s == b.travel.bucket_duration_s
+    assert a.rates.bucket_duration_s == b.rates.bucket_duration_s
 
 
 def move_hospital(cell):
@@ -503,6 +601,43 @@ class TestScenarioCellIds:
     def test_rejected_at_load(self, default_city_doc, edit):
         with pytest.raises(geo.ScenarioError):
             geo.world_from_json(edit(default_city_doc))
+
+
+def short_by_one_value(doc):
+    """The bytes of all but the last travel time, under the full shape."""
+    short = with_travel(doc, decoded_travel(doc).ravel()[:-1])["travel"]["matrices"]
+    return edit_travel_encoding(base64=short["base64"])(doc)
+
+
+BAD_ENCODINGS = {
+    "float32": edit_travel_encoding(dtype="<f4"),
+    "big_endian": edit_travel_encoding(dtype=">f8"),
+    "short_by_one_value": short_by_one_value,
+    "shape_too_large": edit_travel_encoding(shape=[24, 36, 37]),
+    "shape_not_a_list": edit_travel_encoding(shape="24,36,36"),
+    "shape_of_floats": edit_travel_encoding(shape=[24.0, 36, 36]),
+    "not_base64": edit_travel_encoding(base64="not base64!"),
+    "base64_not_a_string": edit_travel_encoding(base64=7),
+    "no_dtype": lambda doc: {**doc, "travel": {**doc["travel"], "matrices": {
+        k: v for k, v in doc["travel"]["matrices"].items() if k != "dtype"}}},
+}
+
+
+class TestTravelEncoding:
+    @pytest.mark.parametrize("edit", BAD_ENCODINGS.values(), ids=BAD_ENCODINGS.keys())
+    def test_malformed_encoding_rejected_at_load(self, default_city_doc, edit):
+        with pytest.raises(geo.ScenarioError):
+            geo.world_from_json(edit(default_city_doc))
+
+    def test_a_malformed_encoding_exits_2(self, tmp_path, default_city_doc):
+        from ermrl.cli import main
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(BAD_ENCODINGS["short_by_one_value"](default_city_doc)))
+        out = tmp_path / "out"
+        assert main(["eval", "--scenario", str(path), "--out-dir", str(out),
+                     "--seed", "1", "--planner", "static", "--eval-seeds", "50:51",
+                     "--horizon-days", "0.1"]) == 2
+        assert not out.exists()
 
 
 class TestRegionRates:

@@ -1,4 +1,5 @@
 import copy
+import copyreg
 import csv
 import itertools
 import json
@@ -12,6 +13,7 @@ from conftest import bench_city, two_region_world
 from ermrl import harness, nn, sim
 from ermrl.agents import DdpgConfig, HlpAgent, LlpAgent
 from ermrl.baselines import MctsConfig
+from ermrl.geo import ScenarioWorld
 
 
 def exact_permutation_oracle(diffs):
@@ -466,6 +468,27 @@ class TestEvaluation:
                                  len(r.decisions)) for r in results]
             assert out[2] == out[1]
             assert all(r[3] for r in out[1]) == (planner != "static")
+
+    def test_parallel_eval_sends_the_world_once_per_worker(self, tmp_path, monkeypatch):
+        world = two_region_world(rates_by_bucket=[[1.0, 0.5, 0.2, 0.1, 0.4, 0.8]])
+        pickled = []
+
+        def reduce_world(w):
+            pickled.append(w)
+            return object.__reduce_ex__(w, 2)
+
+        # multiprocessing's pickler reads copyreg's table each time it is made
+        monkeypatch.setitem(copyreg.dispatch_table, ScenarioWorld, reduce_world)
+        spec = harness.ExperimentSpec(scenario_path="unused", planner="greedy",
+                                      out_dir=str(tmp_path / "run"),
+                                      eval_seeds=(50, 51, 52, 53, 54, 55),
+                                      horizon_s=3 * 3600.0, fleet_size=2)
+        serial = harness.evaluate_spec(spec, world, workers=1)
+        assert pickled == []
+        results = harness.evaluate_spec(spec, world, workers=2)
+        assert len(pickled) <= 2
+        assert [(r.seed, r.response_log) for r in results] == \
+            [(r.seed, r.response_log) for r in serial]
 
     def test_eval_loads_the_checkpoint_once(self, tmp_path, monkeypatch):
         # two rate buckets that swap which region is busy make the city agent act

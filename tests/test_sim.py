@@ -474,3 +474,158 @@ class TestRegionShares:
         world = two_region_world(rates_by_bucket=[[1.0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1.0]])
         assert sim.region_shares(world, 2) == {0: 2, 1: 0}
         assert sim.region_shares(world, 2, t=3600.0) == {0: 0, 1: 2}
+
+
+# --- dispatch against the two-pass rule it replaced --------------------------------
+
+def frozen_eta(resp, cell, t, world):
+    """eta_to_cell for one target cell, over the checked travel_time."""
+    travel, track = world.travel, resp.track
+    if resp.t_avail is not None:
+        h_cell = world.hospitals[resp.hospital].cell
+        return h_cell, (resp.t_avail - t) + travel.travel_time(h_cell, cell, resp.t_avail)
+    if t <= track.depart_t or track.stationary:
+        return track.origin, travel.travel_time(track.origin, cell, t)
+    if t >= track.arrive_t:
+        return track.destination, travel.travel_time(track.destination, cell, t)
+    elapsed = t - track.depart_t
+    if elapsed < (track.arrive_t - track.depart_t) / 2:
+        return track.origin, max(travel.travel_time(track.origin, cell, t) - elapsed, 0.0)
+    onward = travel.travel_time(track.destination, cell, track.arrive_t)
+    return track.destination, (track.arrive_t - t) + onward
+
+
+def frozen_dispatch(s, incident):
+    """Dispatch as two passes: min over the sorted free ids by ETA, the
+    winner's ETA again, then nearest_hospital and travel_time. Returns
+    (responder, start cell, response, t_avail, hospital), or None to queue."""
+    world = s.world
+    free = [rid for rid in sorted(s.responders) if s.responders[rid].available]
+    if not free:
+        return None
+    best = min(free, key=lambda rid: frozen_eta(s.responders[rid], incident.cell, s.now, world)[1])
+    start, eta = frozen_eta(s.responders[best], incident.cell, s.now, world)
+    depart = s.now + eta + s.cfg.t_serve_s
+    hospital = world.nearest_hospital(incident.cell, depart)
+    t_avail = depart + world.travel.travel_time(incident.cell, world.hospitals[hospital].cell,
+                                                depart)
+    return best, start, s.now + eta - incident.report_t, t_avail, hospital
+
+
+BUCKET_S = 900  # four travel buckets per hour, so legs and services cross them
+
+
+def dispatch_world(rng, n=7, n_hospitals=3):
+    """Travel times in whole minutes (many exact ties) that change every
+    BUCKET_S, and hospitals whose nearest one changes with the bucket."""
+    tables = 60.0 * rng.integers(1, 6, size=(4, n, n))
+    for table in tables:
+        np.fill_diagonal(table, 0.0)
+    cells = tuple(geo.Cell(i, (float(i), 0.0)) for i in range(n))
+    grid = geo.Grid(cells, 1.0, (0.0, 0.0, float(n), 1.0))
+    depots = {i: geo.Depot(i, i) for i in range(n)}
+    hospitals = {h: geo.Hospital(h, int(c))
+                 for h, c in enumerate(rng.choice(n, n_hospitals, replace=False))}
+    return geo.ScenarioWorld(grid, depots, hospitals, geo.TravelModel(BUCKET_S, tables),
+                             geo.RateModel(3600, np.ones((1, n))), geo.single_region(grid, depots))
+
+
+def random_state(rng, s, kinds):
+    """Give responder k the state kinds[k] at s.now (a multiple of BUCKET_S
+    or not): busy, stationary, departing now, first half, second half with
+    arrival in the next travel bucket, or arrived."""
+    world, now, n = s.world, s.now, s.world.grid.n_cells
+    for rid, kind in zip(sorted(s.responders), kinds):
+        r = s.responders[rid]
+        r.incident = r.hospital = r.t_avail = None
+        o, d = (int(c) for c in rng.choice(n, 2, replace=False))
+        if kind == "busy":
+            r.incident, r.hospital = d, int(rng.choice(sorted(world.hospitals)))
+            r.t_avail = now + float(rng.choice([1.0, 60.0, BUCKET_S - now % BUCKET_S]))
+            r.track = sim.LocationTrack(o, d, now - 60.0, now)
+        elif kind == "stationary":
+            r.track = sim.LocationTrack.at(o, now - float(rng.integers(0, 600)))
+        elif kind == "departing":
+            r.track = sim.LocationTrack(o, d, now, now + 300.0)
+        elif kind == "first_half":
+            r.track = sim.LocationTrack(o, d, now - 100.0, now + 300.0)
+        elif kind == "second_half":
+            nxt = (now // BUCKET_S + 1) * BUCKET_S
+            r.track = sim.LocationTrack(o, d, now - 400.0, nxt + 50.0)
+        else:
+            r.track = sim.LocationTrack(o, d, now - 400.0, now - 100.0)
+
+
+STATE_KINDS = ("busy", "stationary", "departing", "first_half", "second_half", "arrived")
+
+
+class TestOnePassDispatch:
+    def test_matches_the_two_pass_rule_on_random_states(self):
+        rng = np.random.default_rng(31)
+        seen = {"tie": 0, "queued": 0, "boundary": 0}
+        for trial in range(600):
+            world = dispatch_world(rng)
+            s = sim.Simulator(world, chain_of([], 3600), sim.SimConfig(),
+                              n_responders=len(world.depots))
+            s.now = float(BUCKET_S * rng.integers(0, 8)) + (0.0 if trial % 2 else 250.0)
+            seen["boundary"] += s.now % BUCKET_S == 0
+            if trial % 50 == 0:
+                kinds = ["busy"] * len(s.responders)
+            else:
+                kinds = list(rng.choice(STATE_KINDS, len(s.responders)))
+            random_state(rng, s, kinds)
+            incident = sim.Incident(0, int(rng.integers(0, world.grid.n_cells)),
+                                    s.now - float(rng.integers(0, 120)))
+            etas = [frozen_eta(r, incident.cell, s.now, world)[1]
+                    for r in s.responders.values() if r.available]
+            seen["tie"] += len(etas) > 1 and etas.count(min(etas)) > 1
+            want = frozen_dispatch(s, incident)
+            got = s.dispatch(incident)
+            if want is None:
+                seen["queued"] += 1
+                assert got is None and list(s.queue) == [incident] and not s.response_log
+                continue
+            rid, start, response, t_avail, hospital = want
+            r = s.responders[rid]
+            assert got == rid
+            (iid, report_t, logged), = s.response_log
+            assert type(logged) is float and type(r.t_avail) is float
+            assert (iid, report_t, logged.hex()) == (0, incident.report_t, response.hex())
+            assert r.t_avail.hex() == t_avail.hex()
+            assert (r.hospital, r.incident, r.track.origin) == (hospital, incident.cell, start)
+        assert seen["tie"] > 100 and seen["queued"] >= 10 and seen["boundary"] >= 290
+
+    def test_an_exact_tie_goes_to_the_lowest_id(self):
+        table = np.full((3, 3), 120.0)
+        np.fill_diagonal(table, 0.0)
+        world = make_world(table, depot_cells=[0, 1, 2], hospital_cells=[0])
+        # the responder on cell 0 is busy; the other two are both 120 s from it
+        for ids in ([0, 1, 2], [2, 1, 0], [1, 2, 0]):
+            s = sim.Simulator(world, chain_of([], 3600), sim.SimConfig(),
+                              initial_assignment=dict(zip(ids, [0, 1, 2])))
+            busy = s.responders[ids[0]]
+            busy.incident, busy.hospital, busy.t_avail = 0, 0, 5000.0
+            assert s.dispatch(sim.Incident(0, 0, 0.0)) == min(ids[1:])
+
+    def test_responders_stay_in_ascending_id_order(self):
+        world = two_region_world()
+        chain = sim.sample_chain(geo.RateModel(3600, np.full((1, 6), 3.0)), 6 * 3600.0, 5)
+        orders = []
+
+        class Mover:
+            """Moves a free responder across regions at every event."""
+            def on_event(self, simulator, ev):
+                held = {r.depot for r in simulator.responders.values()}
+                for rid, r in simulator.responders.items():
+                    free = [d for d in world.depot_ids
+                            if d not in held and world.seg.depot_regions[d] != r.region]
+                    if free:
+                        simulator.apply_region_moves({rid: free[0]})
+                        break
+                orders.append(list(simulator.responders))
+
+        s = sim.Simulator(world, chain, sim.SimConfig(), Mover(),
+                          initial_assignment={3: 0, 1: 2, 2: 3})
+        s.run()
+        assert len(orders) > 20
+        assert all(order == [1, 2, 3] for order in orders)
