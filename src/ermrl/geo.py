@@ -1,9 +1,11 @@
 """Geography, travel model, incident-rate model, and region segmentation.
 
 Everything here is immutable after construction and safe to share between
-threads; ScenarioWorld fills its nearby-rate, region-rate, nearest-hospital
-and per-region tables on first use, with values that never change. Times are
-seconds, rates are incidents per hour, distances miles.
+threads. ScenarioWorld keeps the tables it derives (per-region depot cells,
+nearby rates, region rates, scaled nearby rates, nearest hospitals) in one
+store keyed by table kind, buckets and region: depot cells are built at
+construction, the per-bucket tables on first use, and no value ever changes.
+Times are seconds, rates are incidents per hour, distances miles.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -80,36 +83,42 @@ class Hospital:
     cell: int
 
 
-class TravelModel:
+class _BucketCycle:
+    """n_buckets buckets of a positive whole number of seconds each, cycling
+    with period n_buckets * bucket_duration_s, which must divide one week."""
+
+    def __init__(self, kind: str, n_buckets: int, dur):
+        if not (isinstance(dur, numbers.Real) and dur > 0 and dur % 1 == 0):  # inf % 1 is NaN
+            raise ScenarioError(f"{kind} bucket_duration_s must be a positive whole number "
+                                f"of seconds, not {dur!r}")
+        self.bucket_duration_s = int(dur)
+        self.period_s = n_buckets * self.bucket_duration_s
+        if self.period_s == 0 or WEEK_S % self.period_s != 0:
+            raise ScenarioError(f"{kind} bucket cycle must divide one week")
+
+    def bucket_index(self, t: float) -> int:
+        return int((t % self.period_s) // self.bucket_duration_s)
+
+
+class TravelModel(_BucketCycle):
     """Time-varying cell-to-cell travel times.
 
-    One square table per time bucket; the bucket sequence cycles with period
-    n_buckets * bucket_duration_s, which must divide one week so lookups are
-    weekly-periodic. Diagonals are zero. The triangle inequality is not
-    assumed (road networks violate it).
+    One square table per time bucket of the weekly-periodic cycle. Diagonals
+    are zero. The triangle inequality is not assumed (road networks violate it).
     """
 
     def __init__(self, bucket_duration_s: int, matrices: np.ndarray):
         matrices = np.asarray(matrices, dtype=float)
         if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
             raise ScenarioError("travel matrices must have shape (buckets, n, n)")
-        if bucket_duration_s <= 0:
-            raise ScenarioError("bucket_duration_s must be positive")
-        period = matrices.shape[0] * bucket_duration_s
-        if WEEK_S % period != 0:
-            raise ScenarioError("travel bucket cycle must divide one week")
+        super().__init__("travel", matrices.shape[0], bucket_duration_s)
         # min/max make no full-size temporary, and a NaN propagates through both
         if matrices.size and not (matrices.min() >= 0 and np.isfinite(matrices.max())):
             raise ScenarioError("travel times must be finite and nonnegative")
         if np.any(np.diagonal(matrices, axis1=1, axis2=2) != 0):
             raise ScenarioError("travel time diagonal must be zero")
-        self.bucket_duration_s = int(bucket_duration_s)
         self.matrices = matrices
-        self.period_s = period
         self.n_cells = matrices.shape[1]
-
-    def bucket_index(self, t: float) -> int:
-        return int((t % self.period_s) // self.bucket_duration_s)
 
     def travel_time(self, from_cell: int, to_cell: int, t: float) -> float:
         if not (0 <= from_cell < self.n_cells and 0 <= to_cell < self.n_cells):
@@ -119,23 +128,17 @@ class TravelModel:
         return float(self.matrices[self.bucket_index(t), from_cell, to_cell])
 
 
-class RateModel:
+class RateModel(_BucketCycle):
     """Piecewise-constant per-cell incident rates (incidents/hour), cycling weekly."""
 
     def __init__(self, bucket_duration_s: int, rates: np.ndarray):
         rates = np.asarray(rates, dtype=float)
         if rates.ndim != 2:
             raise ScenarioError("rates must have shape (buckets, n_cells)")
-        if bucket_duration_s <= 0:
-            raise ScenarioError("bucket_duration_s must be positive")
-        period = rates.shape[0] * bucket_duration_s
-        if WEEK_S % period != 0:
-            raise ScenarioError("rate bucket cycle must divide one week")
+        super().__init__("rate", rates.shape[0], bucket_duration_s)
         if not np.all(np.isfinite(rates)) or np.any(rates < 0):
             raise ScenarioError("rates must be finite and nonnegative")
-        self.bucket_duration_s = int(bucket_duration_s)
         self.rates = rates
-        self.period_s = period
 
     @property
     def n_cells(self) -> int:
@@ -144,9 +147,6 @@ class RateModel:
     @property
     def n_buckets(self) -> int:
         return self.rates.shape[0]
-
-    def bucket_index(self, t: float) -> int:
-        return int((t % self.period_s) // self.bucket_duration_s)
 
     def rates_at(self, t: float) -> np.ndarray:
         return self.rates[self.bucket_index(t)]
@@ -312,17 +312,11 @@ class ScenarioWorld:
     rates: RateModel
     seg: Segmentation
     rate_scale: float = field(default=0.0)  # feature normalizer; 0 -> derive
-    # (travel bucket, rate bucket) -> {depot id: nearby rate}, filled on first use;
-    # two threads filling one pair store equal values
-    _nearby: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # rate bucket -> {region id: region rate}, filled on first use like _nearby
-    _region_rates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # travel bucket -> nearest hospital per cell (ids, cells, times), filled on first use
-    _hospital_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # region id -> read-only depot cells; (travel bucket, rate bucket, region id) ->
-    # read-only scaled nearby rates; both filled on first use, keyed by region only
-    _depot_cells: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _scaled_rates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # derived tables by (kind, buckets..., region): ("cells", region) at construction;
+    # ("nearby", travel b, rate b), ("region", rate b), ("scaled", travel b, rate b,
+    # region) and ("hospital", travel b) on first use, by _fill. Values never change,
+    # so two threads filling one key store equal values.
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.hospitals:
@@ -333,9 +327,17 @@ class ScenarioWorld:
         cells = {p.cell for p in (*self.depots.values(), *self.hospitals.values())}
         if not cells.union(*self.seg.region_cells.values()) <= set(range(n)):
             raise ScenarioError(f"depot, hospital and region cell ids must lie in [0, {n})")
+        if set(self.seg.depot_regions) != set(self.depots):
+            raise ScenarioError(f"depot_regions must list exactly the depots {sorted(self.depots)}")
         for d in self.depots.values():
             if d.cell not in self.seg.region_cells[self.seg.depot_regions[d.id]]:
                 raise ScenarioError(f"depot {d.id} lies outside its region")
+        if not (isinstance(self.rate_scale, numbers.Real) and 0 <= self.rate_scale < math.inf):
+            raise ScenarioError(f"rate_scale must be a finite number >= 0, not {self.rate_scale!r}")
+        for g in self.seg.region_ids:  # read-only depot cells in depot id order
+            cells = np.array([self.depots[d].cell for d in self.region_depots(g)], dtype=int)
+            cells.setflags(write=False)
+            self._tables["cells", g] = cells
         if self.rate_scale == 0.0:
             object.__setattr__(self, "rate_scale", _max_depot_rate(self))
 
@@ -349,18 +351,36 @@ class ScenarioWorld:
     def region_caps(self) -> dict[int, int]:
         return {g: len(ds) for g, ds in self.seg._depots.items()}
 
+    def _fill(self, key: tuple, t: float | None):
+        """Build the table under key, keep it and return it; a rate table is
+        built at t, any time in the key's buckets."""
+        kind = key[0]
+        if kind == "nearby":
+            table = nearby_rates(self.depot_ids, self.depots, self.travel, self.rates, t)
+        elif kind == "region":
+            table = {g: region_rate(self.seg, self.rates, g, t) for g in self.seg.region_ids}
+        elif kind == "hospital":
+            ids = sorted(self.hospitals)
+            cells = [self.hospitals[h].cell for h in ids]
+            times = self.travel.matrices[key[1]][:, cells]
+            best = times.argmin(axis=1).tolist()  # argmin takes first (= lowest id) on ties
+            table = ([ids[j] for j in best], [cells[j] for j in best],
+                     times[np.arange(len(best)), best].tolist())
+        else:  # "scaled": read-only, the region's depots in id order
+            lam = self.nearby_rates_at(t)
+            table = np.array([lam[d] for d in self.region_depots(key[3])]) / self.rate_scale
+            table.setflags(write=False)
+        self._tables[key] = table
+        return table
+
     def region_rates(self, t: float) -> dict[int, float]:
         """{region id: summed incident rate over the region's cells} at time t.
 
         Depends on t only through the rate bucket; each bucket is summed once
         and kept, and every call returns a fresh dict.
         """
-        b = self.rates.bucket_index(t)
-        lam = self._region_rates.get(b)
-        if lam is None:
-            lam = {g: region_rate(self.seg, self.rates, g, t) for g in self.seg.region_ids}
-            self._region_rates[b] = lam
-        return dict(lam)
+        key = ("region", self.rates.bucket_index(t))
+        return dict(lam if (lam := self._tables.get(key)) is not None else self._fill(key, t))
 
     def nearby_rates_at(self, t: float) -> MappingProxyType:
         """Read-only {depot id: nearby incident rate} over all depots at time t.
@@ -369,49 +389,26 @@ class ScenarioWorld:
         through the (travel bucket, rate bucket) pair; each pair is computed
         once and kept.
         """
-        key = (self.travel.bucket_index(t), self.rates.bucket_index(t))
-        lam = self._nearby.get(key)
-        if lam is None:
-            lam = nearby_rates(self.depot_ids, self.depots, self.travel, self.rates, t)
-            self._nearby[key] = lam
-        return MappingProxyType(lam)
+        key = ("nearby", self.travel.bucket_index(t), self.rates.bucket_index(t))
+        return MappingProxyType(lam if (lam := self._tables.get(key)) is not None
+                                else self._fill(key, t))
 
     def region_depot_cells(self, region_id: int) -> np.ndarray:
         """Read-only cells of the region's depots, in depot id order."""
-        cells = self._depot_cells.get(region_id)
-        if cells is None:
-            cells = np.array([self.depots[d].cell for d in self.region_depots(region_id)],
-                             dtype=int)
-            cells.setflags(write=False)
-            self._depot_cells[region_id] = cells
-        return cells
+        return self._tables["cells", region_id]
 
     def scaled_nearby_rates(self, region_id: int, t: float) -> np.ndarray:
         """Read-only nearby rates of the region's depots at t, in depot id
         order, divided by rate_scale: one array per (travel bucket, rate
         bucket) pair and region."""
-        key = (self.travel.bucket_index(t), self.rates.bucket_index(t), region_id)
-        lam = self._scaled_rates.get(key)
-        if lam is None:
-            lam_all = self.nearby_rates_at(t)
-            lam = np.array([lam_all[d] for d in self.region_depots(region_id)]) / self.rate_scale
-            lam.setflags(write=False)
-            self._scaled_rates[key] = lam
-        return lam
+        key = ("scaled", self.travel.bucket_index(t), self.rates.bucket_index(t), region_id)
+        return lam if (lam := self._tables.get(key)) is not None else self._fill(key, t)
 
     def hospital_table(self, b: int) -> tuple[list[int], list[int], list[float]]:
         """Per cell, in travel bucket b: the id and cell of the hospital reached
         fastest from it, and the time to it; ties to the lowest hospital id."""
-        table = self._hospital_tables.get(b)
-        if table is None:
-            ids = sorted(self.hospitals)
-            cells = [self.hospitals[h].cell for h in ids]
-            times = self.travel.matrices[b][:, cells]
-            best = times.argmin(axis=1).tolist()  # argmin takes first (= lowest id) on ties
-            table = ([ids[j] for j in best], [cells[j] for j in best],
-                     times[np.arange(len(best)), best].tolist())
-            self._hospital_tables[b] = table
-        return table
+        key = ("hospital", b)
+        return table if (table := self._tables.get(key)) is not None else self._fill(key, None)
 
     def nearest_hospital(self, from_cell: int, t: float) -> int:
         """Hospital reachable fastest from from_cell at time t; ties to lowest id."""

@@ -1,4 +1,5 @@
 import base64
+import collections
 import itertools
 import json
 import math
@@ -102,6 +103,41 @@ class TestTravelTime:
         reference = np.stack([dist / (params.base_speed_mph * m) * 3600.0
                               for m in list(speed_mult)])
         assert np.array_equal(world.travel.matrices, reference)
+
+
+BUCKETED = {"travel": lambda dur, n=4: geo.TravelModel(dur, np.zeros((n, 2, 2))),
+            "rate": lambda dur, n=4: geo.RateModel(dur, np.zeros((n, 2)))}
+
+
+class TestBucketDuration:
+    @pytest.mark.parametrize("make", BUCKETED.values(), ids=BUCKETED.keys())
+    @pytest.mark.parametrize("dur", [1.5, 0.5, 0, -3600, np.nan, np.inf, "3600", None])
+    def test_not_a_positive_whole_number_of_seconds_rejected(self, make, dur):
+        with pytest.raises(geo.ScenarioError, match="whole number of seconds"):
+            make(dur)
+
+    @pytest.mark.parametrize("make", BUCKETED.values(), ids=BUCKETED.keys())
+    def test_no_buckets_rejected(self, make):
+        with pytest.raises(geo.ScenarioError, match="divide one week"):
+            make(3600, n=0)
+
+    @pytest.mark.parametrize("make", BUCKETED.values(), ids=BUCKETED.keys())
+    @pytest.mark.parametrize("dur", [3600.0, np.int64(3600), np.float64(3600.0)],
+                             ids=["float", "int64", "float64"])
+    def test_a_whole_number_of_any_type_is_kept_as_int(self, make, dur):
+        model = make(dur)
+        assert (model.bucket_duration_s, model.period_s) == (3600, 4 * 3600)
+        assert type(model.bucket_duration_s) is int and type(model.period_s) is int
+        assert [model.bucket_index(t) for t in (0.0, 3599.5, 3600.0, 4 * 3600.0 + 1)] \
+            == [0, 0, 1, 0]
+
+    def test_a_world_with_whole_float_durations_equals_the_int_one(self):
+        tables = np.array([[[0.0, 60.0], [60.0, 0.0]]] * 2)
+        worlds = [lcm_cycle_world(dur, tables, dur, [[1.0, 2.0], [0.5, 0.0]], [0, 1])
+                  for dur in (3600, 3600.0)]
+        assert worlds[0].rate_scale.hex() == worlds[1].rate_scale.hex()
+        assert worlds[0].travel.travel_time(0, 1, 7199.0) == worlds[1].travel.travel_time(
+            0, 1, 7199.0) == 60.0
 
 
 class TestNearCells:
@@ -289,6 +325,11 @@ class TestNearbyRateTable:
         assert world.nearby_rates_at(84 * 3600.0)[0] == 2.0
 
 
+def stored(world, kind):
+    """The keys, kind dropped, under which world's store holds tables of that kind."""
+    return [key[1:] for key in world._tables if key[0] == kind]
+
+
 def fresh_region_tables(world, g, t):
     lam = geo.nearby_rates(world.depot_ids, world.depots, world.travel, world.rates, t)
     return (np.array([world.depots[d].cell for d in world.region_depots(g)], dtype=int),
@@ -322,22 +363,50 @@ class TestRegionTables:
         world = TestNearbyRateTable().random_world()
         times = sorted(set(range(0, geo.WEEK_S, 12 * 3600)) | set(range(0, geo.WEEK_S, 8 * 3600)))
         assert_region_tables_fresh(world, [s for t in times for s in (t, t + 3599.5)])
-        assert len(world._scaled_rates) == 21
+        assert len(stored(world, "scaled")) == 21
 
     def test_read_only_and_built_on_first_use(self):
+        # depot cells are built with the world; scaled rates wait for their first lookup
         world = geo.world_from_json(geo.world_to_json(bench_city("default")))
-        assert world._depot_cells == {} and world._scaled_rates == {}
-        g = world.seg.region_ids[-1]
+        regions = world.seg.region_ids
+        assert sorted(world._tables) == [("cells", g) for g in regions]
+        for h in regions:
+            with pytest.raises(ValueError):
+                world.region_depot_cells(h)[0] = 0
+        g = regions[-1]
         cells, lam = world.region_depot_cells(g), world.scaled_nearby_rates(g, 7200.0)
         assert world.region_depot_cells(g) is cells
         assert world.scaled_nearby_rates(g, 7200.0 + 1800.0) is lam
-        assert list(world._depot_cells) == [g] and list(world._scaled_rates) == [(2, 0, g)]
-        with pytest.raises(ValueError):
-            cells[0] = 0
+        assert stored(world, "scaled") == [(2, 0, g)] and stored(world, "nearby") == [(2, 0)]
+        assert len(world._tables) == len(regions) + 2
         with pytest.raises(ValueError):
             lam[0] = 0.0
         with pytest.raises(ValueError):
             lam *= 2.0
+
+
+class TestTableStore:
+    @pytest.mark.parametrize("name", ["default", "metro"])
+    def test_does_not_grow_with_time(self, name):
+        world = bench_city(name)
+        travel, rates, regions = world.travel, world.rates, world.seg.region_ids
+        period = math.lcm(travel.period_s, rates.period_s)
+        step = min(travel.bucket_duration_s, rates.bucket_duration_s) / 2
+        pairs = set()
+        for t in np.arange(0.0, 2 * period, step).tolist():  # two combined cycles
+            pairs.add((travel.bucket_index(t), rates.bucket_index(t)))
+            world.nearby_rates_at(t)
+            world.region_rates(t)
+            world.hospital_table(travel.bucket_index(t))
+            world.nearest_hospital(0, t)
+            for g in regions:
+                world.region_depot_cells(g)
+                world.scaled_nearby_rates(g, t)
+        assert len(pairs) == 24
+        kinds = collections.Counter(key[0] for key in world._tables)
+        assert kinds == {"cells": len(regions), "nearby": 24, "scaled": 24 * len(regions),
+                         "region": rates.n_buckets, "hospital": travel.matrices.shape[0]}
+        assert set(stored(world, "nearby")) == pairs
 
 
 def scan_nearest_hospital(world, cell, t):
@@ -396,9 +465,9 @@ class TestHospitalTable:
 
     def test_tables_are_built_on_first_use_and_kept(self):
         world = geo.world_from_json(geo.world_to_json(bench_city("default")))
-        assert world._hospital_tables == {}
+        assert stored(world, "hospital") == []
         assert world.hospital_table(5) is world.hospital_table(5)
-        assert sorted(world._hospital_tables) == [5]
+        assert stored(world, "hospital") == [(5,)]
 
 
 def two_blob_grid():
@@ -640,6 +709,70 @@ class TestTravelEncoding:
         assert not out.exists()
 
 
+def bucket_duration(section, dur):
+    def edit(doc):
+        return {**doc, section: {**doc[section], "bucket_duration_s": dur}}
+    return edit
+
+
+def depot_regions(edit_regions):
+    def edit(doc):
+        regions = edit_regions(dict(doc["segmentation"]["depot_regions"]))
+        return {**doc, "segmentation": {**doc["segmentation"], "depot_regions": regions}}
+    return edit
+
+
+def rate_norm(value):
+    def edit(doc):
+        return {**doc, "feature_norm": {"rate_per_hour": value}}
+    return edit
+
+
+def without_depot_0(regions):
+    del regions["0"]
+    return regions
+
+
+UNFIT = {
+    "travel_bucket_1.5_s": bucket_duration("travel", 1.5),
+    "travel_bucket_0.5_s": bucket_duration("travel", 0.5),
+    "rate_bucket_0.5_s": bucket_duration("rates", 0.5),
+    "rate_bucket_2.5_s": bucket_duration("rates", 2.5),
+    "depot_0_without_region": depot_regions(without_depot_0),
+    "unknown_depot_99": depot_regions(lambda regions: {**regions, "99": 0}),
+    "rate_norm_negative": rate_norm(-1.0),
+    "rate_norm_nan": rate_norm(math.nan),
+    "rate_norm_inf": rate_norm(math.inf),
+    "rate_norm_string": rate_norm("1.0"),
+}
+
+
+class TestScenarioFit:
+    """Bucket durations, the segmentation's depots and the rate scale must fit
+    the world they describe."""
+
+    @pytest.mark.parametrize("edit", UNFIT.values(), ids=UNFIT.keys())
+    def test_rejected_at_load(self, default_city_doc, edit):
+        with pytest.raises(geo.ScenarioError):
+            geo.world_from_json(edit(default_city_doc))
+
+    @pytest.mark.parametrize("name", ["travel_bucket_1.5_s", "depot_0_without_region",
+                                      "unknown_depot_99", "rate_norm_negative"])
+    def test_exits_2(self, tmp_path, default_city_doc, name):
+        from ermrl.cli import main
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(UNFIT[name](default_city_doc)))
+        out = tmp_path / "out"
+        assert main(["eval", "--scenario", str(path), "--out-dir", str(out),
+                     "--seed", "1", "--planner", "greedy", "--eval-seeds", "50:51",
+                     "--horizon-days", "0.1"]) == 2
+        assert not out.exists()
+
+    def test_a_zero_rate_norm_is_derived(self, default_city_doc):
+        world = geo.world_from_json(rate_norm(0)(default_city_doc))
+        assert world.rate_scale.hex() == bench_city("default").rate_scale.hex()
+
+
 class TestRegionRates:
     def test_equals_region_rate_at_every_rate_bucket(self):
         from ermrl.harness import ScenarioParams, generate_scenario
@@ -658,7 +791,7 @@ class TestRegionRates:
         dur = world.rates.bucket_duration_s
         for t in np.arange(0.0, 2 * world.rates.period_s, dur / 3):
             world.region_rates(float(t))
-        assert sorted(world._region_rates) == list(range(world.rates.n_buckets))
+        assert sorted(stored(world, "region")) == [(b,) for b in range(world.rates.n_buckets)]
 
     def test_mutating_a_result_leaves_the_next_call_unchanged(self):
         from ermrl.harness import ScenarioParams, generate_scenario

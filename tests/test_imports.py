@@ -1,7 +1,8 @@
 """Every top-level import in the package is used by its module, every
 import, at any depth, comes from the standard library, numpy or the package,
-and every top-level function and class of the package is named somewhere in
-src, tests or bench outside its own definition."""
+and every top-level function and class of the package, and every method and
+property of its classes, is named somewhere in src, tests or bench outside
+its own definition."""
 
 import ast
 import sys
@@ -58,30 +59,45 @@ REPO_DIR = Path(__file__).resolve().parent.parent
 
 def referenced_names(source: str) -> set[str]:
     """Identifiers the module reads, imports, or names as a whole string (as
-    getattr and monkeypatch.setattr take them); what a top-level function or
+    getattr and monkeypatch.setattr take them); what a function, method or
     class says of its own name inside its own definition does not count."""
     names = set()
-    for top in ast.parse(source).body:
-        own = top.name if isinstance(top, DEFINITIONS) else None
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                found = [node.id]
-            elif isinstance(node, ast.Attribute):
-                found = [node.attr]
-            elif isinstance(node, ast.alias):
-                found = [node.name.split(".")[-1]]
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                found = [node.value] if node.value.isidentifier() else []
-            else:
-                continue
-            names.update(name for name in found if name != own)
+
+    def visit(node, own):
+        if isinstance(node, DEFINITIONS):
+            own = own | {node.name}
+        if isinstance(node, ast.Name):
+            found = [node.id]
+        elif isinstance(node, ast.Attribute):
+            found = [node.attr]
+        elif isinstance(node, ast.alias):
+            found = [node.name.split(".")[-1]]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found = [node.value] if node.value.isidentifier() else []
+        else:
+            found = []
+        names.update(name for name in found if name not in own)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+
+    visit(ast.parse(source), frozenset())
     return names
 
 
 def unreferenced_definitions(source: str, references: set[str]) -> list[str]:
-    """The module's top-level functions and classes that no reference names."""
-    return [node.name for node in ast.parse(source).body
-            if isinstance(node, DEFINITIONS) and node.name not in references]
+    """The module's top-level functions and classes, and the methods and
+    properties of those classes (as Class.name; dunders exempt), that no
+    reference names."""
+    found = []
+    for top in ast.parse(source).body:
+        if isinstance(top, DEFINITIONS) and top.name not in references:
+            found.append(top.name)
+        if isinstance(top, ast.ClassDef):
+            found += [f"{top.name}.{node.name}" for node in top.body
+                      if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and not (node.name.startswith("__") and node.name.endswith("__"))
+                      and node.name not in references]
+    return found
 
 
 def test_detector_flags_an_unreferenced_definition():
@@ -90,6 +106,20 @@ def test_detector_flags_an_unreferenced_definition():
     elsewhere = "from m import Imported\nm.used()\ngetattr(m, 'Named')\n"
     refs = referenced_names(src) | referenced_names(elsewhere)
     assert unreferenced_definitions(src, refs) == ["lonely"]
+
+
+def test_detector_flags_an_unreferenced_method_or_property():
+    src = ("class Box:\n"
+           "    def __init__(self):\n        self.fill()\n"
+           "    def fill(self):\n        pass\n"
+           "    def spin(self, n):\n        return self.spin(n - 1)\n"
+           "    @property\n    def size(self):\n        return 0\n"
+           "    @property\n    def weight(self):\n        return 0\n"
+           "    @staticmethod\n    def make():\n        return Box()\n"
+           "    def named(self):\n        pass\n")
+    elsewhere = "Box.make().size\nsetattr(Box, 'named', None)\n"
+    refs = referenced_names(src) | referenced_names(elsewhere)
+    assert unreferenced_definitions(src, refs) == ["Box.spin", "Box.weight"]
 
 
 @pytest.fixture(scope="module")
