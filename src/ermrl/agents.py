@@ -66,10 +66,12 @@ class DdpgAgent:
     batch (see nn), seeded so that its backward pass returns the batch-mean
     gradient; a loop over the transitions gives the same update to rounding.
 
-    A subclass supplies, for lists of observations: critic inputs (B, w) for
-    their actions, the target actor's actions (None where there is nothing to
-    bootstrap from), and the batch-mean actor Q and gradient of -Q (counting
-    observations it cannot act on as zero)."""
+    A subclass collates a list of observations once per update into the form
+    its other hooks read, and supplies for collated observations: critic
+    inputs (B, w) for their actions, the indices of those the target actor
+    can act on with critic inputs (len(indices), w) for its actions there,
+    and the batch-mean actor Q and gradient of -Q (counting observations it
+    cannot act on as zero)."""
 
     def __init__(self, actor, critic, cfg: DdpgConfig, gamma: float,
                  actor_target=None, critic_target=None):
@@ -98,13 +100,14 @@ class DdpgAgent:
         self.buffer.push(transition)
 
     def q_value(self, obs, action) -> float:
-        q, _ = self._critic(self.critic, [obs], [action])
+        q, _ = self._critic(self.critic, self.critic_inputs(self.collate([obs]), [action]))
         return float(q[0, 0, 0])
 
-    def _critic(self, net, observations, actions, train=False, rng=None):
-        """One (B, 1, w) pass; (B, w) @ W would change the bits of (1, w) calls."""
-        x = self.critic_inputs(observations, actions)[:, None, :]
-        return nn.mlp_forward(net, x, train=train, rng=rng)
+    @staticmethod
+    def _critic(net, x, train=False, rng=None):
+        """One (B, 1, w) pass over critic inputs x (B, w); (B, w) @ W would
+        change the bits of (1, w) calls."""
+        return nn.mlp_forward(net, x[:, None, :], train=train, rng=rng)
 
     def train_step(self, rng: np.random.Generator) -> dict | None:
         """One minibatch update of critic then actor, then both targets; its
@@ -116,21 +119,21 @@ class DdpgAgent:
         if len(self.buffer) < n or self.actor.n_outputs == 0:
             return None
         batch = self.buffer.sample(n, rng)
+        obs = self.collate([tr.obs for tr in batch])
 
         y = np.array([tr.reward for tr in batch], dtype=float)
-        actions = self.target_actions([tr.next_obs for tr in batch])
-        boot = [k for k, a in enumerate(actions) if a is not None and not batch[k].terminal]
+        rows, x = self.target_inputs(self.collate([tr.next_obs for tr in batch]))
+        boot = [i for i, k in enumerate(rows) if not batch[k].terminal]
         if boot:
-            q, _ = self._critic(self.critic_target, [batch[k].next_obs for k in boot],
-                                [actions[k] for k in boot])
-            y[boot] += self.gamma * q[:, 0, 0]
-        q, cache = self._critic(self.critic, [tr.obs for tr in batch],
-                                [tr.action for tr in batch], train=True, rng=rng)
+            q, _ = self._critic(self.critic_target, x[boot])
+            y[[rows[i] for i in boot]] += self.gamma * q[:, 0, 0]
+        q, cache = self._critic(self.critic, self.critic_inputs(obs, [tr.action for tr in batch]),
+                                train=True, rng=rng)
         err = q[:, 0, 0] - y
         _, grads = nn.mlp_backward(self.critic, cache, 2.0 / n * err[:, None, None])
         nn.adam_step(self.critic_opt, self.critic, grads, cfg.lr)
 
-        actor_q, grads = self.actor_gradients([tr.obs for tr in batch], train=True, rng=rng)
+        actor_q, grads = self.actor_gradients(obs, train=True, rng=rng)
         nn.adam_step(self.actor_opt, self.actor, grads, cfg.lr)
 
         nn.soft_update(self.actor_target, self.actor, cfg.tau)
@@ -187,31 +190,35 @@ class LlpAgent(DdpgAgent):
         assignment = {obs.responder_ids[v]: obs.depot_ids[d] for v, d in matched.items()}
         return probs, assignment
 
-    def critic_inputs(self, observations: list[RegionObservation],
-                      actions: list[np.ndarray]) -> np.ndarray:
-        x = np.empty((len(observations), 3 * self.n_depots))
-        for _, members, phi, lam in group_by_count(observations):
-            x[members] = critic_features(phi, lam, np.stack([actions[k] for k in members]))
+    collate = staticmethod(group_by_count)
+
+    def critic_inputs(self, groups: list[tuple], actions: list[np.ndarray]) -> np.ndarray:
+        x = np.empty((sum(len(members) for _, members, _, _ in groups), 3 * self.n_depots))
+        for _, members, phi, lam in groups:
+            x[members] = critic_features(phi, lam, np.array([actions[k] for k in members]))
         return x
 
-    def target_actions(self, observations: list[RegionObservation]) -> list:
-        actions = [None] * len(observations)
-        for n, members, phi, lam in group_by_count(observations):
+    def target_inputs(self, groups: list[tuple]) -> tuple[list[int], np.ndarray]:
+        """Observations with responders, in group order, and the critic inputs
+        of the target actor's likelihoods for them."""
+        rows, x = [], [np.empty((0, 3 * self.n_depots))]
+        for n, members, phi, lam in groups:
             if n:
                 probs, _ = nn.trxl_forward(self.actor_target, actor_features(phi, lam))
-                for k, p in zip(members, probs):
-                    actions[k] = p
-        return actions
+                rows += members
+                x.append(critic_features(phi, lam, probs))
+        return rows, np.concatenate(x)
 
-    def actor_gradients(self, observations: list[RegionObservation], train: bool = False,
+    def actor_gradients(self, groups: list[tuple], train: bool = False,
                         rng: np.random.Generator | None = None):
         """Batch means of Q(s, actor(s)) and of the gradient of -Q wrt the
         actor parameters, from one pass per responder count (actor dropout
         draws in that order); observations without responders add zero. The
-        critic's value flows back through the occupancy and arrival features."""
-        n = len(observations)
-        q_sum, grads = 0.0, [np.zeros_like(a) for a in self.actor.arrays()]
-        for count, members, phi, lam in group_by_count(observations):
+        critic's value flows back through the occupancy and arrival features.
+        Each group's gradients add into one flat vector, in group order."""
+        n = sum(len(members) for _, members, _, _ in groups)
+        q_sum, grads = 0.0, np.zeros(self.actor.flat.size)
+        for count, members, phi, lam in groups:
             if not count:
                 continue
             probs, a_cache = nn.trxl_forward(self.actor, actor_features(phi, lam),
@@ -221,9 +228,8 @@ class LlpAgent(DdpgAgent):
             _, g = nn.trxl_backward(self.actor, a_cache,
                                     critic_features_grad(phi, probs, dfeat[:, 0]))
             q_sum += float(q.sum())
-            for total, part in zip(grads, g, strict=True):
-                total += part
-        return q_sum / n, grads
+            grads += np.concatenate(g, axis=None)
+        return q_sum / n, nn.unflatten(self.actor, grads)
 
 
 class HlpAgent(DdpgAgent):
@@ -262,19 +268,20 @@ class HlpAgent(DdpgAgent):
         counts = greedy_redistribute(p, fleet_size, caps)
         return a_h, counts
 
-    def critic_inputs(self, observations: list[np.ndarray],
-                      actions: list[np.ndarray]) -> np.ndarray:
-        return np.concatenate([np.stack(observations), np.stack(actions)], axis=-1)
+    collate = staticmethod(np.array)
 
-    def target_actions(self, observations: list[np.ndarray]) -> list:
-        a, _ = nn.mlp_forward(self.actor_target, np.stack(observations)[:, None, :])
-        return list(a[:, 0])
+    def critic_inputs(self, obs: np.ndarray, actions: list[np.ndarray]) -> np.ndarray:
+        return np.concatenate([obs, np.array(actions)], axis=-1)
 
-    def actor_gradients(self, observations: list[np.ndarray], train: bool = False,
+    def target_inputs(self, obs: np.ndarray) -> tuple[range, np.ndarray]:
+        a, _ = nn.mlp_forward(self.actor_target, obs[:, None, :])
+        return range(len(obs)), np.concatenate([obs, a[:, 0]], axis=-1)
+
+    def actor_gradients(self, obs: np.ndarray, train: bool = False,
                         rng: np.random.Generator | None = None):
         """Batch means of Q(s, actor(s)) and of the gradient of -Q wrt the
         actor parameters."""
-        obs = np.stack(observations)[:, None, :]
+        obs = obs[:, None, :]
         a, a_cache = nn.mlp_forward(self.actor, obs, train=train, rng=rng)
         q, c_cache = nn.mlp_forward(self.critic, np.concatenate([obs, a], axis=-1))
         dx, _ = nn.mlp_backward(self.critic, c_cache, np.full(q.shape, -1.0 / len(obs)))

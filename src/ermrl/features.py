@@ -85,12 +85,13 @@ def actor_features(phi: np.ndarray, lam: np.ndarray) -> np.ndarray:
 def group_by_count(observations: list[RegionObservation]) -> list[tuple]:
     """Per responder count n: the indices of the observations with n
     responders and their stacked phi (B_n, n, d) and lam (B_n, d), so that
-    each group runs as one dense batch."""
+    each group runs as one dense batch. np.array stacks equal shapes as
+    np.stack does, at a fraction of its per-call cost."""
     groups: dict[int, list[int]] = {}
     for k, obs in enumerate(observations):
         groups.setdefault(obs.n_responders, []).append(k)
-    return [(n, members, np.stack([observations[k].phi for k in members]),
-             np.stack([observations[k].lam for k in members]))
+    return [(n, members, np.array([observations[k].phi for k in members]),
+             np.array([observations[k].lam for k in members]))
             for n, members in groups.items()]
 
 

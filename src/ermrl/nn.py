@@ -16,8 +16,15 @@ arrays(), each summed over every leading axis (one contraction over the rows).
 A decision runs one forward pass on a few rows, so its cost is per-call
 overhead rather than arithmetic: the layer norm and softmax call the reduce
 ufuncs directly instead of np.mean/np.var/.max/.sum, doing the same IEEE
-operations in the same order (the tests compare the bits). Checkpoints
-(format v2) store every parameter in one float64 vector; see save_checkpoint.
+operations in the same order (the tests compare the bits).
+
+Each network (mlp_init, trxl_init, load_checkpoint) owns one contiguous
+float64 vector, `flat`, and every array in arrays() is a view of it, laid out
+back to back in arrays() order. Adam and Polyak averaging then run as a few
+whole-vector operations, doing per element what one pass per array did.
+Checkpoints (format v2) store these vectors one after another; a load builds
+each network over its part of the vector it reads. Copies and pickles rebuild
+the views over the copied vector (see _Network.__reduce__).
 """
 
 from __future__ import annotations
@@ -31,14 +38,32 @@ import numpy as np
 Array = np.ndarray
 
 
-def _glorot(rng: np.random.Generator, d_in: int, d_out: int) -> Array:
-    limit = np.sqrt(6.0 / (d_in + d_out))
-    return rng.uniform(-limit, limit, size=(d_in, d_out))
+def _glorot(rng: np.random.Generator, weights: list[Array]) -> None:
+    """Glorot draws into each (d_in, d_out) weight matrix, in the order given."""
+    for w in weights:
+        limit = np.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
 
 
-def _weights(rng: np.random.Generator | None, d_in: int, d_out: int) -> Array:
-    """Glorot draws; with rng None unfilled, for load_checkpoint, which checks it fills all."""
-    return np.empty((d_in, d_out)) if rng is None else _glorot(rng, d_in, d_out)
+class _Slicer:
+    """Consecutive views of one vector, each of the shape asked for: building
+    a network's arrays in arrays() order lays them out back to back."""
+
+    def __init__(self, flat: Array):
+        self.flat, self.at = flat, 0
+
+    def __call__(self, *shape: int) -> Array:
+        start, self.at = self.at, self.at + math.prod(shape)
+        return self.flat[start:self.at].reshape(shape)
+
+    def since(self, start: int) -> Array:
+        return self.flat[start:self.at]
+
+
+def unflatten(params, flat: Array) -> list[Array]:
+    """flat as a list aligned with params.arrays(), each entry a view of it."""
+    take = _Slicer(flat)
+    return [take(*a.shape) for a in params.arrays()]
 
 
 # name -> (activation, its derivative)
@@ -73,9 +98,26 @@ class DenseLayer:
         return [self.w, self.b]
 
 
+class _Network:
+    """A parameter container whose arrays are views of its vector `flat`."""
+
+    def __reduce__(self):
+        """Copies and pickles rebuild the arrays over the copied vector;
+        numpy's own copies would give each array memory of its own."""
+        return _build, (_describe(self), self.flat)
+
+
 @dataclass
-class MlpParams:
+class MlpParams(_Network):
     layers: list[DenseLayer]
+    flat: Array | None = None
+
+    def __post_init__(self):
+        if self.flat is None:  # built by hand: move the layers into one vector
+            take = _Slicer(np.concatenate(self.arrays(), axis=None, dtype=float))
+            for layer in self.layers:
+                layer.w, layer.b = take(*layer.w.shape), take(*layer.b.shape)
+            self.flat = take.flat
 
     def arrays(self) -> list[Array]:
         return [a for layer in self.layers for a in layer.arrays()]
@@ -85,7 +127,19 @@ class MlpParams:
         return self.layers[-1].w.shape[1]
 
 
-def mlp_init(sizes: list[int], rng: np.random.Generator | None,
+def _mlp_size(sizes: list[int]) -> int:
+    return sum((a + 1) * b for a, b in zip(sizes, sizes[1:]))
+
+
+def _mlp(take: _Slicer, sizes: list[int], activations: list[str],
+         dropouts: list[float]) -> MlpParams:
+    start = take.at
+    layers = [DenseLayer(take(a, b), take(b), act, drop)
+              for a, b, act, drop in zip(sizes, sizes[1:], activations, dropouts)]
+    return MlpParams(layers, take.since(start))
+
+
+def mlp_init(sizes: list[int], rng: np.random.Generator,
              activations: list[str] | None = None,
              dropouts: list[float] | None = None) -> MlpParams:
     """sizes = [d_in, h1, ..., d_out]; default hidden relu + linear output."""
@@ -94,9 +148,9 @@ def mlp_init(sizes: list[int], rng: np.random.Generator | None,
         activations = ["relu"] * (n - 1) + ["linear"]
     if dropouts is None:
         dropouts = [0.0] * n
-    layers = [DenseLayer(_weights(rng, sizes[i], sizes[i + 1]), np.zeros(sizes[i + 1]),
-                         activations[i], dropouts[i]) for i in range(n)]
-    return MlpParams(layers)
+    p = _mlp(_Slicer(np.zeros(_mlp_size(sizes))), sizes, activations, dropouts)
+    _glorot(rng, [layer.w for layer in p.layers])
+    return p
 
 
 def _t(x: Array) -> Array:
@@ -169,10 +223,6 @@ class NormParams:
         return [self.gain, self.bias]
 
 
-def norm_init(d: int) -> NormParams:
-    return NormParams(np.ones(d), np.zeros(d))
-
-
 def norm_forward(p: NormParams, x: Array) -> tuple[Array, tuple]:
     """np.mean's and np.var's arithmetic, done once; var and xhat share the centred rows."""
     n = x.shape[-1]
@@ -210,11 +260,10 @@ class MhaParams:
         return [self.wq, self.bq, self.wk, self.bk, self.wv, self.bv, self.wo, self.bo]
 
 
-def mha_init(width: int, n_heads: int, rng: np.random.Generator | None) -> MhaParams:
+def _mha(take: _Slicer, width: int, n_heads: int) -> MhaParams:
     if n_heads < 1 or width % n_heads != 0:
         raise ValueError("model width must be a positive multiple of the head count")
-    return MhaParams(*(a for _ in "qkvo" for a in (_weights(rng, width, width), np.zeros(width))),
-                     n_heads)
+    return MhaParams(*(a for _ in "qkvo" for a in (take(width, width), take(width))), n_heads)
 
 
 def _split_heads(x: Array, h: int) -> Array:
@@ -273,12 +322,13 @@ class TrxlLayer:
 
 
 @dataclass
-class TrxlParams:
+class TrxlParams(_Network):
     """N transformer layers between linear input/output projections, closed by
     a per-row softmax over the depot axis."""
     in_proj: DenseLayer
     layers: list[TrxlLayer]
     out_proj: DenseLayer
+    flat: Array
 
     def arrays(self) -> list[Array]:
         return (self.in_proj.arrays() + [a for layer in self.layers for a in layer.arrays()]
@@ -293,21 +343,44 @@ class TrxlParams:
         return self.out_proj.w.shape[1]
 
 
-def trxl_init(feat_dim: int, n_outputs: int, rng: np.random.Generator | None,
+def _trxl_size(feat_dim: int, n_outputs: int, width: int, n_layers: int,
+               inner_sizes: tuple[int, ...]) -> int:
+    layer = 4 * (width + 1) * width + 4 * width + _mlp_size([width, *inner_sizes, width])
+    return (feat_dim + 1) * width + n_layers * layer + (width + 1) * n_outputs
+
+
+def _trxl(take: _Slicer, feat_dim: int, n_outputs: int, width: int, n_heads: int,
+          n_layers: int, inner_sizes: tuple[int, ...], inner_dropout: float) -> TrxlParams:
+    start = take.at
+    in_proj = DenseLayer(take(feat_dim, width), take(width))
+    sizes = [width, *inner_sizes, width]
+    acts = ["relu"] * len(inner_sizes) + ["linear"]
+    drops = [inner_dropout] * len(inner_sizes) + [0.0]
+    layers = [TrxlLayer(_mha(take, width, n_heads), NormParams(take(width), take(width)),
+                        _mlp(take, sizes, acts, drops), NormParams(take(width), take(width)))
+              for _ in range(n_layers)]
+    out_proj = DenseLayer(take(width, n_outputs), take(n_outputs))
+    return TrxlParams(in_proj, layers, out_proj, take.since(start))
+
+
+def trxl_init(feat_dim: int, n_outputs: int, rng: np.random.Generator,
               width: int | None = None, n_heads: int = 2, n_layers: int = 1,
               inner_sizes: tuple[int, ...] = (32,), inner_dropout: float = 0.0) -> TrxlParams:
     if n_layers < 1:
         raise ValueError("need at least one transformer layer")
     width = feat_dim if width is None else width
-    layers = []
-    for _ in range(n_layers):
-        inner = mlp_init([width, *inner_sizes, width], rng,
-                         dropouts=[inner_dropout] * len(inner_sizes) + [0.0])
-        layers.append(TrxlLayer(mha_init(width, n_heads, rng), norm_init(width),
-                                inner, norm_init(width)))
-    in_proj = DenseLayer(_weights(rng, feat_dim, width), np.zeros(width))
-    out_proj = DenseLayer(_weights(rng, width, n_outputs), np.zeros(n_outputs))
-    return TrxlParams(in_proj, layers, out_proj)
+    flat = np.zeros(_trxl_size(feat_dim, n_outputs, width, n_layers, inner_sizes))
+    p = _trxl(_Slicer(flat), feat_dim, n_outputs, width, n_heads, n_layers, inner_sizes,
+              inner_dropout)
+    for layer in p.layers:
+        layer.norm_mha.gain[...] = layer.norm_mlp.gain[...] = 1.0
+    # the draw order of separately allocated layers: each transformer layer's
+    # inner MLP then attention, then the two projections
+    _glorot(rng, [w for layer in p.layers
+                  for w in ([d.w for d in layer.mlp.layers]
+                            + [layer.mha.wq, layer.mha.wk, layer.mha.wv, layer.mha.wo])]
+            + [p.in_proj.w, p.out_proj.w])
+    return p
 
 
 def trxl_forward(p: TrxlParams, x: Array, train: bool = False,
@@ -359,36 +432,49 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    m: list[Array]
-    v: list[Array]
+    m: Array  # first and second moments, flat vectors laid out as params.flat
+    v: Array
     t: int = 0
 
 
 def adam_init(params) -> AdamState:
-    arrays = params.arrays()
-    return AdamState([np.zeros(a.shape) for a in arrays], [np.zeros(a.shape) for a in arrays])
+    return AdamState(np.zeros(params.flat.size), np.zeros(params.flat.size))
 
 
 def adam_step(state: AdamState, params, grads: list[Array], lr: float):
-    """One Adam update, in place on params.arrays(); misaligned grads raise first."""
+    """One Adam update, in place on params.flat; misaligned grads raise first.
+    Per element it computes m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+    a -= (lr*(m/c1)) / (sqrt(v/c2) + eps), so each bit is what a separate
+    update of each array in arrays() gives."""
     arrays = params.arrays()
     if [g.shape for g in grads] != [a.shape for a in arrays]:
         raise ValueError("gradients do not match params.arrays() in length and shapes")
+    g = np.concatenate(grads, axis=None)
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
-    for i, (a, g) in enumerate(zip(arrays, grads)):
-        state.m[i] = b1 * state.m[i] + (1 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1 - b2) * g * g
-        a -= lr * (state.m[i] / c1) / (np.sqrt(state.v[i] / c2) + ADAM_EPS)
+    m, v = state.m, state.v
+    sq = (1 - b2) * g
+    sq *= g
+    v *= b2
+    v += sq
+    g *= 1 - b1
+    m *= b1
+    m += g
+    den = np.divide(v, c2, out=sq)
+    np.sqrt(den, out=den)
+    den += ADAM_EPS
+    step = np.divide(m, c1, out=g)
+    step *= lr
+    step /= den
+    params.flat -= step
 
 
 def soft_update(target, online, tau: float):
     """Polyak averaging: target <- (1 - tau) * target + tau * online."""
-    for t_arr, o_arr in zip(target.arrays(), online.arrays(), strict=True):
-        t_arr *= 1.0 - tau
-        t_arr += tau * o_arr
+    target.flat *= 1.0 - tau
+    target.flat += tau * online.flat
 
 
 # --- checkpoints ------------------------------------------------------------------
@@ -423,31 +509,40 @@ _ENTRY_KEYS = {"mlp": ("sizes", "activations", "dropouts"),
                         "inner_sizes", "inner_dropout")}
 
 
-def _build(name: str, spec: dict):
+def _size(name: str, spec: dict) -> int:
+    """Length of the vector of the network spec describes; checks the spec."""
     missing = [k for k in ("kind", *_ENTRY_KEYS.get(spec.get("kind"), ())) if k not in spec]
     if missing:
         raise ValueError(f"checkpoint entry {name} has no {missing[0]}")
     if spec["kind"] == "mlp":
-        return mlp_init(spec["sizes"], None, spec["activations"], spec["dropouts"])
+        return _mlp_size(spec["sizes"])
     if spec["kind"] == "trxl":
-        return trxl_init(spec["feat_dim"], spec["n_outputs"], None, spec["width"],
-                         spec["n_heads"], spec["n_layers"], tuple(spec["inner_sizes"]),
-                         spec["inner_dropout"])
+        return _trxl_size(spec["feat_dim"], spec["n_outputs"], spec["width"],
+                          spec["n_layers"], spec["inner_sizes"])
     raise ValueError(f"unknown checkpoint kind {spec['kind']}")
+
+
+def _build(spec: dict, flat: Array):
+    """The network spec describes, its arrays views of flat."""
+    if spec["kind"] == "mlp":
+        return _mlp(_Slicer(flat), spec["sizes"], spec["activations"], spec["dropouts"])
+    return _trxl(_Slicer(flat), spec["feat_dim"], spec["n_outputs"], spec["width"],
+                 spec["n_heads"], spec["n_layers"], tuple(spec["inner_sizes"]),
+                 spec["inner_dropout"])
 
 
 def save_checkpoint(path, named_params: dict) -> None:
     """An npz of two members: `__meta__`, the JSON description of each named
     network, and `params`, one float64 vector holding every parameter array,
-    in entry order and then arrays() order."""
+    in entry order and then arrays() order: the networks' vectors in turn."""
     meta = {"version": _CHECKPOINT_VERSION,
             "entries": {name: _describe(p) for name, p in named_params.items()}}
-    arrays = [a.ravel() for p in named_params.values() for a in p.arrays()]
     np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-             params=np.concatenate(arrays))
+             params=np.concatenate([p.flat for p in named_params.values()]))
 
 
 def load_checkpoint(path) -> dict:
+    """Each network's arrays are views of its part of the vector read from path."""
     with np.load(path) as data:
         if "__meta__" not in data.files:
             raise ValueError(f"checkpoint {path} has no __meta__ member")
@@ -463,12 +558,11 @@ def load_checkpoint(path) -> dict:
     if flat.dtype != np.float64:
         raise ValueError(f"checkpoint {path} holds parameters of dtype {flat.dtype}, "
                          f"not float64")
-    out = {name: _build(name, spec) for name, spec in meta["entries"].items()}
-    arrays = [a for p in out.values() for a in p.arrays()]
-    sizes = [a.size for a in arrays]
+    entries = meta["entries"]
+    sizes = [_size(name, spec) for name, spec in entries.items()]
     if flat.shape != (sum(sizes),):
         raise ValueError(f"checkpoint holds parameters of shape {flat.shape}, "
                          f"its entries describe {sum(sizes)}")
-    for a, end in zip(arrays, np.cumsum(sizes).tolist()):
-        a[...] = flat[end - a.size:end].reshape(a.shape)
-    return out
+    ends = np.cumsum(sizes).tolist()
+    return {name: _build(spec, flat[end - size:end])
+            for (name, spec), size, end in zip(entries.items(), sizes, ends)}

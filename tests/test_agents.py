@@ -148,7 +148,7 @@ class TestLlpTraining:
             q, _ = nn.mlp_forward(agent.critic, feats[None, :])
             return -float(q[0, 0])
 
-        _, grads = agent.actor_gradients([obs])
+        _, grads = agent.actor_gradients(agent.collate([obs]))
         eps = 1e-5
         for a, g in zip(agent.actor.arrays(), grads, strict=True):
             flat, gflat = a.ravel(), g.ravel()
@@ -420,7 +420,7 @@ def _assert_same_learner(a, b):
     for opt in ("actor_opt", "critic_opt"):
         sa, sb = getattr(a, opt), getattr(b, opt)
         assert sa.t == sb.t
-        for x, y in zip(sa.m + sa.v, sb.m + sb.v):
+        for x, y in zip((sa.m, sa.v), (sb.m, sb.v)):
             assert _close(x, y), opt
 
 

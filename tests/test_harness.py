@@ -195,7 +195,7 @@ class TestTrainingPipeline:
             assert len(loaded.buffer) == 0 and loaded.updates == []
             for opt in (loaded.actor_opt, loaded.critic_opt):
                 assert opt.t == 0
-                assert all(not m.any() and not v.any() for m, v in zip(opt.m, opt.v))
+                assert not opt.m.any() and not opt.v.any()
         assert [loaded_llp[g].gamma for g in (0, 1)] == [0.3, 0.3]
         assert loaded_hlp.gamma == 0.7
         assert [(loaded_llp[g].region, loaded_llp[g].n_depots) for g in (0, 1)] == [
@@ -228,8 +228,8 @@ class TestTrainingPipeline:
         loaded_llp, loaded_hlp = harness.load_agents(tmp_path, world)
         for agent in [*loaded_llp.values(), loaded_hlp]:
             for opt, net in ((agent.actor_opt, agent.actor), (agent.critic_opt, agent.critic)):
-                shapes = [a.shape for a in net.arrays()]
-                assert [m.shape for m in opt.m] == [v.shape for v in opt.v] == shapes
+                size = sum(a.size for a in net.arrays())
+                assert opt.m.shape == opt.v.shape == net.flat.shape == (size,)
         agent = harness.train_llp_agent(world, 0, cfg, [1], seed=8, agent=loaded_llp[0])
         assert agent.updates
 

@@ -177,13 +177,13 @@ class TestGradientLists:
 
     def test_norm(self):
         rng = np.random.default_rng(22)
-        p = nn.norm_init(5)
+        p = nn.trxl_init(5, 2, rng, n_heads=1).layers[0].norm_mha
         _, cache = nn.norm_forward(p, rng.normal(size=(3, 5)))
         self.assert_aligned(p, nn.norm_backward(p, cache, rng.normal(size=(3, 5)))[1])
 
     def test_mha(self):
         rng = np.random.default_rng(23)
-        p = nn.mha_init(6, 2, rng)
+        p = nn.trxl_init(6, 3, rng, n_heads=2).layers[0].mha
         _, cache = nn.mha_forward(p, rng.normal(size=(4, 6)))
         self.assert_aligned(p, nn.mha_backward(p, cache, rng.normal(size=(4, 6)))[1])
 
@@ -313,11 +313,11 @@ class TestAdam:
         else:
             grads[0] = np.ones(grads[0].shape[::-1])
         before = [a.copy() for a in p.arrays()]
-        m, v = [a.copy() for a in state.m], [a.copy() for a in state.v]
+        m, v = state.m.copy(), state.v.copy()
         with pytest.raises(ValueError, match="do not match"):
             nn.adam_step(state, p, grads, lr=1e-3)
         assert state.t == 1
-        for now, then in zip(p.arrays() + state.m + state.v, before + m + v, strict=True):
+        for now, then in zip(p.arrays() + [state.m, state.v], before + [m, v], strict=True):
             assert np.array_equal(now, then)
 
 
